@@ -1,7 +1,7 @@
 package repro.approx
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import repro.core.XYCore
 import repro.graph.{DigraphOps, LocalDigraph}
 
 /** Bahmani-style batch-peeling approximation (the natural dataflow
@@ -25,9 +25,6 @@ object BSApprox {
           wallBudgetMs: Long = Long.MaxValue): ApproxResult = {
     val t0 = System.nanoTime()
     def elapsed = (System.nanoTime() - t0) / 1000000L
-    val spark = edges0.sparkSession
-    import spark.implicits._
-
     val base = DigraphOps.canonicalize(edges0).cache()
     val m0 = base.count()
     if (m0 == 0) return ApproxResult("BSApprox", 0.0, 0, 0, elapsed, "empty")
@@ -48,22 +45,8 @@ object BSApprox {
       while (live && !budgetHit) {
         if (elapsed > wallBudgetMs) budgetHit = true
         else {
-          val cur =
-            if (sAlive == null) base
-            else
-              base
-                .join(broadcast(sAlive.toSeq.toDF("__s")), col("src") === col("__s"), "left_semi")
-                .join(broadcast(tAlive.toSeq.toDF("__t")), col("dst") === col("__t"), "left_semi")
-          val rows = cur
-            .select(explode(array(
-              struct(col("src").as("id"), lit(0).as("side")),
-              struct(col("dst").as("id"), lit(1).as("side"))
-            )).as("v"))
-            .select(col("v.id").as("id"), col("v.side").as("side"))
-            .groupBy("id", "side")
-            .agg(count(lit(1)).as("cnt"))
-            .collect()
-            .map(r => (r.getLong(0), r.getInt(1), r.getLong(2)))
+          val cur = if (sAlive == null) base else XYCore.restrict(base, sAlive, tAlive)
+          val rows = XYCore.degreeRows(cur)
           val sDeg = rows.filter(_._2 == 0)
           val tDeg = rows.filter(_._2 == 1)
           if (sDeg.isEmpty || tDeg.isEmpty) live = false

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import scala.collection.mutable.ArrayBuffer
 import repro.graph.{DigraphOps, LocalDigraph}
 
 /** A computed [x,y]-core: side sizes and edge count up front, edges
@@ -45,6 +46,15 @@ trait CoreEngine {
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle]
 }
 
+object CoreEngine {
+
+  /** The warm-start contract of [[CoreEngine.core]], checked by every engine. */
+  def requireWarm(x: Int, y: Int, warm: Option[CoreHandle]): Unit =
+    warm.foreach { w =>
+      require(w.x <= x && w.y <= y, s"invalid warm start [${w.x},${w.y}] for [$x,$y]")
+    }
+}
+
 /** Reference engine over a driver-local digraph. */
 final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
   private final case class H(x: Int, y: Int, s: CoreSub) extends CoreHandle {
@@ -52,17 +62,14 @@ final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
     def tSize: Long = s.tSize.toLong
     def m: Long     = s.m.toLong
     def sub(): CoreSub = s
-    def candidate(): Candidate = Candidate(s.s, s.t, s.m.toLong)
+    def candidate(): Candidate = s.candidate
   }
 
   def n: Long = g.n.toLong
   def m: Long = g.m.toLong
 
-  private lazy val full: CoreSub = {
-    val pairs = g.edgePairs.toArray
-    if (pairs.isEmpty) CoreSub.empty
-    else CoreSub(pairs.map(_._1).distinct.sorted, pairs.map(_._2).distinct.sorted, pairs)
-  }
+  // the whole graph, less isolated vertices, is its own [1,1]-core
+  private lazy val full: CoreSub = LocalXYCore.peel(g, 1, 1)
   def fullSub(): CoreSub = full
 
   // warm cores are re-peeled many times in staircase searches; memoize the
@@ -72,17 +79,17 @@ final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
 
   private def graphOf(s: CoreSub): LocalDigraph = {
     if (memoSub ne s) {
-      memoGraph = LocalDigraph.fromCleanPairs(s.edges.toSeq)
+      memoGraph = LocalDigraph.fromCleanPairs(s.edges)
       memoSub = s
     }
     memoGraph
   }
 
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
+    CoreEngine.requireWarm(x, y, warm)
     val host = warm match {
-      case Some(h: H) if h.s.nonEmpty => graphOf(h.s)
-      case Some(_)                    => g // foreign/empty handle: ignore warm start
-      case None                       => g
+      case Some(h: H) => graphOf(h.s)
+      case _          => g // foreign handle: ignore warm start
     }
     val sub = LocalXYCore.peel(host, x, y)
     if (sub.isEmpty) None else Some(H(x, y, sub))
@@ -91,84 +98,63 @@ final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
 
 /** Production engine: Spark DataFrame iterative peeling over cached edges.
   *
-  * ``localCutoff`` — see [[XYCore.peel]]: cores whose alive edge count has
-  * dropped to this size are finished by the exact in-memory peeler instead
-  * of paying one Spark round per cascade layer.
+  * ``localCutoff`` — see [[XYCore.peel]]. A core with at most this many
+  * edges reaches the driver once and is kept as an in-memory engine over
+  * its edges: a query at (x,y) dominating that core's (cx,cy) has its
+  * answer inside it (nestedness), so it is served without a Spark job. A
+  * graph within the cutoff is its own [1,1]-core, collected once at the
+  * first use of ``n``, ``fullSub`` or ``core``, and then serves every query.
   */
 final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) extends CoreEngine {
   /** Canonicalized, cached base edge set all cores derive from. */
   val base: DataFrame = DigraphOps.canonicalize(edges0).cache()
 
-  private final case class H(core: SparkCore) extends CoreHandle {
-    def x: Int      = core.x
-    def y: Int      = core.y
-    def sSize: Long = core.s.length.toLong
-    def tSize: Long = core.t.length.toLong
+  private def local(edges: Array[(Long, Long)]): LocalCoreEngine =
+    new LocalCoreEngine(LocalDigraph.fromCleanPairs(edges))
+
+  /** A Spark-peeled core; ``local`` is its cache entry, if it got one. */
+  private final case class H(x: Int, y: Int, core: Candidate, local: Option[LocalCoreEngine])
+      extends CoreHandle {
+    def sSize: Long = core.sSize.toLong
+    def tSize: Long = core.tSize.toLong
     def m: Long     = core.m
-    def sub(): CoreSub = XYCore.collectSub(base, core)
-    def candidate(): Candidate = Candidate(core.s, core.t, core.m)
+    def sub(): CoreSub = local.fold(XYCore.collectSub(base, core))(_.fullSub())
+    def candidate(): Candidate = core
   }
 
-  private lazy val st: repro.graph.GraphStats = DigraphOps.stats(base)
-  def n: Long = st.n
-  def m: Long = st.m
+  /** Edge count; this first action also fills the cache of ``base``. */
+  lazy val m: Long = base.count()
 
-  private lazy val full: CoreSub = {
-    val g = LocalDigraph.fromEdges(base)
-    val pairs = g.edgePairs.toArray
-    if (pairs.isEmpty) CoreSub.empty
-    else CoreSub(pairs.map(_._1).distinct.sorted, pairs.map(_._2).distinct.sorted, pairs)
-  }
-  def fullSub(): CoreSub = full
+  private lazy val whole: Option[LocalCoreEngine] =
+    Option.when(m <= localCutoff)(local(DigraphOps.collectPairs(base)))
 
-  // A graph that fits entirely under the cutoff is collected once and all
-  // core queries answered by the in-memory reference engine — repeated
-  // collect-per-core jobs would otherwise dominate on mid-size graphs.
-  private lazy val delegate: Option[LocalCoreEngine] =
-    if (st.m <= localCutoff) Some(new LocalCoreEngine(LocalDigraph.fromEdges(base)))
-    else None
+  lazy val n: Long = whole.fold(DigraphOps.vertices(base).count())(_.n)
 
-  // Small cores materialized once are kept as driver-local sub-engines; a
-  // query at (x,y) dominating a cached core's (cx,cy) has its answer fully
-  // inside that core (nestedness), so it is served without a Spark job.
-  private final case class CachedCore(x: Int, y: Int, engine: LocalCoreEngine)
-  private val cached = scala.collection.mutable.ArrayBuffer.empty[CachedCore]
+  def fullSub(): CoreSub = whole.getOrElse(local(DigraphOps.collectPairs(base))).fullSub()
+
+  private final case class Cached(x: Int, y: Int, engine: LocalCoreEngine)
+  private lazy val cached: ArrayBuffer[Cached] = ArrayBuffer.from(whole.map(Cached(1, 1, _)))
 
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
-    delegate match {
-      case Some(d) =>
-        // local handles warm-start each other; foreign (H) handles are ignored
-        d.core(x, y, warm.filterNot(_.isInstanceOf[H]))
+    CoreEngine.requireWarm(x, y, warm)
+    cached.find(c => c.x <= x && c.y <= y) match {
+      case Some(c) =>
+        // local handles warm-start each other; Spark handles (H) are ignored
+        c.engine.core(x, y, warm.filterNot(_.isInstanceOf[H]))
       case None =>
-        cached.find(c => c.x <= x && c.y <= y) match {
-          case Some(cc) =>
-            cc.engine.core(x, y, warm.filterNot(_.isInstanceOf[H]))
-          case None =>
-            val w = warm.collect { case h: H => h.core }
-            val t0 = System.nanoTime()
-            val c = XYCore.peel(base, x, y, w, localCutoff)
-            if (SparkCoreEngine.verbose) {
-              val ms = (System.nanoTime() - t0) / 1000000L
-              Console.err.println(
-                s"[core] [$x,$y] warm=${w.map(_.m).getOrElse(-1L)} -> |S|=${c.s.length} |T|=${c.t.length} m=${c.m} ${ms}ms")
-            }
-            if (c.isEmpty) None
-            else {
-              if (c.m <= localCutoff && cached.size < 8) {
-                val sub = XYCore.collectSub(base, c)
-                cached += CachedCore(x, y,
-                  new LocalCoreEngine(LocalDigraph.fromPairs(sub.edges.toSeq)))
-              }
-              Some(H(c))
-            }
+        val peeled = XYCore.peel(base, x, y, warm.collect { case h: H => h.core }, localCutoff)
+        val core = peeled.fold(c => c, _.candidate)
+        if (core.isEmpty) None
+        else {
+          val entry = Option.when(core.m <= localCutoff && cached.size < 8) {
+            val e = local(peeled.getOrElse(XYCore.collectSub(base, core)).edges)
+            cached += Cached(x, y, e)
+            e
+          }
+          Some(H(x, y, core, entry))
         }
     }
   }
 
   def release(): Unit = { base.unpersist(); () }
-}
-
-object SparkCoreEngine {
-  /** Per-core-call timing lines on stderr (export REPRO_VERBOSE=1). */
-  val verbose: Boolean = sys.env.get("REPRO_VERBOSE").contains("1")
 }

@@ -19,7 +19,7 @@ final case class CoreSub(s: Array[Long], t: Array[Long], edges: Array[(Long, Lon
 
   def density: Double = DigraphOps.density(m.toLong, sSize.toLong, tSize.toLong)
   def surrogate(a: Double): Double = DigraphOps.surrogate(m.toLong, sSize.toLong, tSize.toLong, a)
-  def ratio: Double   = if (tSize == 0) 0.0 else sSize.toDouble / tSize.toDouble
+  def candidate: Candidate = Candidate(s, t, m.toLong)
 }
 
 object CoreSub {
@@ -27,12 +27,14 @@ object CoreSub {
 }
 
 /** A candidate (S,T) answer with its exact edge count — the unit tracked by
-  * the exact search and returned by approximation algorithms.
+  * the exact search and returned by approximation algorithms, and the form
+  * of a Spark-peeled core whose edges stay distributed.
   */
 final case class Candidate(s: Array[Long], t: Array[Long], m: Long) {
   def sSize: Int = s.length
   def tSize: Int = t.length
+  def isEmpty: Boolean  = s.isEmpty || t.isEmpty || m == 0
+  def nonEmpty: Boolean = !isEmpty
   def density: Double = DigraphOps.density(m, sSize.toLong, tSize.toLong)
   def surrogate(a: Double): Double = DigraphOps.surrogate(m, sSize.toLong, tSize.toLong, a)
-  def ratio: Double = if (tSize == 0) 1.0 else sSize.toDouble / tSize.toDouble
 }

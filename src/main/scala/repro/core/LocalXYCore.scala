@@ -92,23 +92,4 @@ object LocalXYCore {
     if (s.isEmpty || t.isEmpty || es.isEmpty) CoreSub.empty
     else CoreSub(s.sorted, t.sorted, es)
   }
-
-  /** Largest y such that the [x,y]-core is non-empty, with that core.
-    * Searches within ``within`` (must be a supergraph of the target cores,
-    * e.g. the [x,1]-core).
-    */
-  def yMax(within: CoreSub, x: Int, yLo: Int, yHi: Int): Option[(Int, CoreSub)] = {
-    if (within.isEmpty || yLo > yHi) return None
-    var lo = yLo
-    var loCore = peel(LocalDigraph.fromPairs(within.edges.toSeq), x, yLo)
-    if (loCore.isEmpty) return None
-    var hi = yHi
-    // binary search on the largest non-empty y; cores nested in y
-    while (lo < hi) {
-      val mid = lo + (hi - lo + 1) / 2
-      val c = peel(LocalDigraph.fromPairs(loCore.edges.toSeq), x, mid)
-      if (c.nonEmpty) { lo = mid; loCore = c } else hi = mid - 1
-    }
-    Some((lo, loCore))
-  }
 }

@@ -19,64 +19,40 @@ object MaxCore {
     def candidate: Candidate = handle.candidate()
   }
 
-  /** Largest y with a non-empty [x,y]-core, warm-started from ``from``
-    * (a known non-empty [x,yLo]-core). Doubles then bisects; every probe
-    * is warm-started from the tightest known feasible core.
+  /** Largest k ≤ cap whose core ``probe(k, warm)`` is non-empty, given a
+    * known non-empty core ``from`` at k = lo. Doubles, then bisects; every
+    * probe is warm-started from the tightest known non-empty core. With
+    * x fixed and k = y this is y_max(x); with y fixed and k = x it is
+    * x_max(y), which collapses the long constant-y plateaus of
+    * hub-dominated skylines to O(log) probes.
     */
-  private def yMaxFrom(engine: CoreEngine, x: Int, yLo: Int,
-                       from: CoreHandle, yCap: Int): (Int, CoreHandle) = {
-    var loY   = yLo
+  private def maxFrom(lo: Int, from: CoreHandle, cap: Int)
+                     (probe: (Int, CoreHandle) => Option[CoreHandle]): (Int, CoreHandle) = {
+    var loK    = lo
     var loCore = from
-    var hiY   = -1 // smallest known-empty y, -1 = unknown
+    var hiK    = -1 // smallest known-empty k, -1 = unknown
     // doubling phase
-    var step = 1
-    while (hiY == -1 && loY < yCap) {
-      val probe = math.min(yCap, loY + step)
-      engine.core(x, probe, Some(loCore)) match {
-        case Some(h) => loY = probe; loCore = h; step *= 2
-        case None    => hiY = probe
-      }
-      if (probe == yCap && hiY == -1) return (loY, loCore)
-    }
-    if (hiY == -1) return (loY, loCore)
-    // bisection phase on (loY, hiY)
-    while (hiY - loY > 1) {
-      val mid = loY + (hiY - loY) / 2
-      engine.core(x, mid, Some(loCore)) match {
-        case Some(h) => loY = mid; loCore = h
-        case None    => hiY = mid
+    var step = 1L
+    while (hiK == -1 && loK < cap) {
+      val k = math.min(cap.toLong, loK + step).toInt
+      probe(k, loCore) match {
+        case Some(h) => loK = k; loCore = h; step *= 2
+        case None    => hiK = k
       }
     }
-    (loY, loCore)
+    // bisection phase on (loK, hiK)
+    while (hiK != -1 && hiK - loK > 1) {
+      val mid = loK + (hiK - loK) / 2
+      probe(mid, loCore) match {
+        case Some(h) => loK = mid; loCore = h
+        case None    => hiK = mid
+      }
+    }
+    (loK, loCore)
   }
 
-  /** Largest x with a non-empty [x,y]-core at fixed y, warm-started from a
-    * known non-empty [xLo,y]-core (mirror of yMaxFrom; collapses the long
-    * constant-y plateaus of hub-dominated skylines to O(log) probes).
-    */
-  private def xMaxFrom(engine: CoreEngine, y: Int, xLo: Int,
-                       from: CoreHandle): (Int, CoreHandle) = {
-    var loX = xLo
-    var loCore = from
-    var hiX = -1
-    var step = 1
-    while (hiX == -1 && loX < Int.MaxValue / 2) {
-      val probe = loX + step
-      engine.core(probe, y, Some(loCore)) match {
-        case Some(h) => loX = probe; loCore = h; step *= 2
-        case None    => hiX = probe
-      }
-    }
-    if (hiX == -1) return (loX, loCore)
-    while (hiX - loX > 1) {
-      val mid = loX + (hiX - loX) / 2
-      engine.core(mid, y, Some(loCore)) match {
-        case Some(h) => loX = mid; loCore = h
-        case None    => hiX = mid
-      }
-    }
-    (loX, loCore)
-  }
+  /** Cap of the x_max(y) search: no x bound is known up front. */
+  private val XCap = Int.MaxValue / 2
 
   /** The core maximizing x·y (CoreApprox's witness). None iff no edges.
     *
@@ -90,7 +66,7 @@ object MaxCore {
   def maxXY(engine: CoreEngine): Option[MaxXY] = {
     val c11 = engine.core(1, 1, None).getOrElse(return None)
     val yCap = math.min(engine.m, Int.MaxValue.toLong).toInt max 1
-    val (y1, c1) = yMaxFrom(engine, 1, 1, c11, yCap)
+    val (y1, c1) = maxFrom(1, c11, yCap)((y, w) => engine.core(1, y, Some(w)))
     var best = MaxXY(1, y1, c1)
     var lastY = y1         // upper bound on y_max(x) for all later x
     var curX1 = c11        // an [x',1]-core with x' ≤ x (valid warm start under jumps)
@@ -108,9 +84,9 @@ object MaxCore {
                 lastY = math.min(lastY, yNeed - 1) // y_max(x) < yNeed, holds for x' ≥ x too
                 if (lastY < 1) done = true
               case Some(seed) =>
-                val (yx, cyx) = yMaxFrom(engine, x.toInt, yNeed, seed, lastY)
+                val (yx, cyx) = maxFrom(yNeed, seed, lastY)((y, w) => engine.core(x.toInt, y, Some(w)))
                 // extend the constant-y plateau to its largest x in O(log)
-                val (xb, cxb) = xMaxFrom(engine, yx, x.toInt, cyx)
+                val (xb, cxb) = maxFrom(x.toInt, cyx, XCap)((k, w) => engine.core(k, yx, Some(w)))
                 lastY = yx
                 best = MaxXY(xb, yx, cxb)
                 x = xb.toLong
@@ -132,7 +108,7 @@ object MaxCore {
     var prevY = Int.MaxValue
     var done = false
     while (!done) {
-      val (yx, _) = yMaxFrom(engine, x, 1, curX1, math.min(prevY, yCap))
+      val (yx, _) = maxFrom(1, curX1, math.min(prevY, yCap))((y, w) => engine.core(x, y, Some(w)))
       if (points.nonEmpty && points.last._2 == yx) points.remove(points.length - 1)
       points += ((x, yx))
       prevY = yx

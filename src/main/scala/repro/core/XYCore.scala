@@ -1,17 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-
-/** A computed [x,y]-core: the alive side sets and the edge count between
-  * them. ``s``/``t`` are sorted original vertex ids. The induced edge list
-  * itself stays distributed; ``XYCore.collectSub`` materializes it.
-  */
-final case class SparkCore(x: Int, y: Int, s: Array[Long], t: Array[Long], m: Long) {
-  def isEmpty: Boolean  = s.isEmpty || t.isEmpty || m == 0
-  def nonEmpty: Boolean = !isEmpty
-  def density: Double   = repro.graph.DigraphOps.density(m, s.length.toLong, t.length.toLong)
-}
+import repro.graph.{DigraphOps, LocalDigraph}
 
 /** Iterative [x,y]-core peeling as Spark dataflow.
   *
@@ -26,7 +17,7 @@ final case class SparkCore(x: Int, y: Int, s: Array[Long], t: Array[Long], m: Lo
 object XYCore {
 
   /** Degree rows of the current pair-subgraph: (id, side 0=src/1=dst, cnt). */
-  private def degreeRows(cur: DataFrame): Array[(Long, Int, Long)] = {
+  private[repro] def degreeRows(cur: DataFrame): Array[(Long, Int, Long)] = {
     val exploded = cur.select(
       explode(array(
         struct(col("src").as("id"), lit(0).as("side")),
@@ -40,7 +31,8 @@ object XYCore {
       .map(r => (r.getLong(0), r.getInt(1), r.getLong(2)))
   }
 
-  private def restrict(base: DataFrame, s: Array[Long], t: Array[Long]): DataFrame = {
+  /** The edges of ``base`` from ``s`` into ``t`` (broadcast semi-joins). */
+  private[repro] def restrict(base: DataFrame, s: Array[Long], t: Array[Long]): DataFrame = {
     val spark = base.sparkSession
     import spark.implicits._
     base
@@ -48,9 +40,10 @@ object XYCore {
       .join(broadcast(t.toSeq.toDF("__t")), col("dst") === col("__t"), "left_semi")
   }
 
-  /** Peel ``base`` (cached edges, columns src/dst) down to its [x,y]-core.
-    * ``warm`` optionally restricts the search to a superset core (valid
-    * whenever warm.x ≤ x and warm.y ≤ y, by nestedness).
+  /** Peel ``base`` (cached canonical edges, columns src/dst) down to its
+    * [x,y]-core. ``warm`` optionally restricts the search to a superset
+    * core (valid whenever it is the [x',y']-core with x' ≤ x and y' ≤ y, by
+    * nestedness; the caller checks that).
     *
     * ``localCutoff``: once the alive edge count drops to this size, the
     * remaining pair-subgraph is collected and the (identical) fixpoint is
@@ -58,26 +51,25 @@ object XYCore {
     * critical threshold can cascade one thin layer per round — hundreds of
     * rounds of job-launch latency for a subgraph that by then fits in
     * memory. 0 disables the hybrid (pure dataflow rounds, used in tests).
+    *
+    * Returns Right with the core's edges when it was finished on the
+    * driver, Left when it reached its fixpoint in Spark (edges still
+    * distributed; [[collectSub]] fetches them).
     */
-  def peel(base: DataFrame, x: Int, y: Int, warm: Option[SparkCore] = None,
-           localCutoff: Long = 0L): SparkCore = {
+  def peel(base: DataFrame, x: Int, y: Int, warm: Option[Candidate] = None,
+           localCutoff: Long = 0L): Either[Candidate, CoreSub] = {
     require(x >= 1 && y >= 1, s"need x,y >= 1, got [$x,$y]")
-    warm.foreach { w =>
-      require(w.x <= x && w.y <= y, s"invalid warm start [${w.x},${w.y}] for [$x,$y]")
-    }
+    val empty = Left(Candidate(Array.empty, Array.empty, 0L))
+    if (warm.exists(_.isEmpty)) return empty
     var sAlive: Array[Long] = warm.map(_.s).orNull // null = unrestricted
     var tAlive: Array[Long] = warm.map(_.t).orNull
-    if (warm.exists(_.isEmpty)) return SparkCore(x, y, Array.empty, Array.empty, 0L)
 
-    def finishLocally(cur: DataFrame): SparkCore = {
-      val pairs = cur.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1)))
-      val sub = LocalXYCore.peel(repro.graph.LocalDigraph.fromCleanPairs(pairs.toSeq), x, y)
-      if (sub.isEmpty) SparkCore(x, y, Array.empty, Array.empty, 0L)
-      else SparkCore(x, y, sub.s, sub.t, sub.m.toLong)
+    def finishLocally(): Either[Candidate, CoreSub] = {
+      val pairs = DigraphOps.collectPairs(restrict(base, sAlive, tAlive))
+      Right(LocalXYCore.peel(LocalDigraph.fromCleanPairs(pairs), x, y))
     }
 
-    if (warm.exists(w => w.nonEmpty && w.m <= localCutoff))
-      return finishLocally(restrict(base, sAlive, tAlive))
+    if (warm.exists(_.m <= localCutoff)) return finishLocally()
 
     var iterations = 0
     while (true) {
@@ -90,34 +82,27 @@ object XYCore {
       val curM = rows.collect { case (_, 0, c) => c }.sum
       val newS = rows.collect { case (id, 0, c) if c >= x => id }.sorted
       val newT = rows.collect { case (id, 1, c) if c >= y => id }.sorted
-      if (newS.isEmpty || newT.isEmpty)
-        return SparkCore(x, y, Array.empty, Array.empty, 0L)
+      if (newS.isEmpty || newT.isEmpty) return empty
       val stable = sAlive != null &&
         newS.length == sAlive.length && newT.length == tAlive.length
       if (stable) {
         // Fixpoint: no vertex fell below threshold, so every edge of `cur`
         // survived; m is the sum of all out-degree rows.
-        return SparkCore(x, y, newS, newT, curM)
+        return Left(Candidate(newS, newT, curM))
       }
       sAlive = newS
       tAlive = newT
-      if (curM <= localCutoff)
-        return finishLocally(restrict(base, sAlive, tAlive))
+      if (curM <= localCutoff) return finishLocally()
     }
     sys.error("unreachable")
   }
 
   /** The distributed edge set of a computed core. */
-  def coreEdges(base: DataFrame, core: SparkCore): DataFrame =
+  def coreEdges(base: DataFrame, core: Candidate): DataFrame =
     if (core.isEmpty) base.limit(0) else restrict(base, core.s, core.t)
 
   /** Materialize a core's pair-subgraph on the driver (for flow networks). */
-  def collectSub(base: DataFrame, core: SparkCore): CoreSub = {
-    if (core.isEmpty) return CoreSub.empty
-    val edges = coreEdges(base, core)
-      .select("src", "dst")
-      .collect()
-      .map(r => (r.getLong(0), r.getLong(1)))
-    CoreSub(core.s, core.t, edges)
-  }
+  def collectSub(base: DataFrame, core: Candidate): CoreSub =
+    if (core.isEmpty) CoreSub.empty
+    else CoreSub(core.s, core.t, DigraphOps.collectPairs(coreEdges(base, core)))
 }

@@ -113,22 +113,7 @@ object DDSExact {
 
     cfg.mode match {
       case Mode.Baseline =>
-        // all candidate ratios p/q in reduced form, ascending
-        val ratios = {
-          val buf = scala.collection.mutable.ArrayBuffer.empty[Double]
-          val nn = n.toInt
-          var p = 1
-          while (p <= nn) {
-            var q = 1
-            while (q <= nn) {
-              if (gcd(p, q) == 1) buf += p.toDouble / q
-              q += 1
-            }
-            p += 1
-          }
-          buf.sorted
-        }
-        val it = ratios.iterator
+        val it = RatioUtils.candidateRatios(n.toInt)
         while (it.hasNext && !dnf) {
           if (overBudget) dnf = true
           else {
@@ -163,7 +148,4 @@ object DDSExact {
 
     Result(best, probes, flows, flowNodes.result(), elapsedMs, dnf, maxXYInfo)
   }
-
-  @annotation.tailrec
-  private def gcd(a: Int, b: Int): Int = if (b == 0) a else gcd(b, a % b)
 }

@@ -83,6 +83,26 @@ object RatioUtils {
     (p, q)
   }
 
+  /** Every candidate ratio p/q (reduced, 1 ≤ p,q ≤ n), ascending, in O(1)
+    * memory. The ratios up to 1 are the Farey sequence of order n. Each
+    * ratio above 1 is the reciprocal of a Farey term below 1: walking the
+    * terms p/q upward and emitting q/(q−p), the reciprocal of the mirrored
+    * term (q−p)/q, yields them in ascending order.
+    */
+  def candidateRatios(n: Int): Iterator[Double] = {
+    // consecutive Farey terms a/b < c/d of order n give the next one,
+    // (k·c − a)/(k·d − b) with k = ⌊(n + b)/d⌋
+    def farey: Iterator[(Int, Int)] =
+      if (n < 1) Iterator.empty
+      else
+        Iterator.iterate((0, 1, 1, n)) { case (a, b, c, d) =>
+          val k = (n + b) / d
+          (c, d, k * c - a, k * d - b)
+        }.map { case (_, _, c, d) => (c, d) }.takeWhile { case (p, q) => p <= q }
+    farey.map { case (p, q) => p.toDouble / q } ++
+      farey.filter { case (p, q) => p < q }.map { case (p, q) => q.toDouble / (q - p) }
+  }
+
   /** φ(a,b) = 2√(ab)/(a+b): the surrogate-vs-density factor; 1 iff a=b. */
   def phi(a: Double, b: Double): Double = 2.0 * math.sqrt(a * b) / (a + b)
 

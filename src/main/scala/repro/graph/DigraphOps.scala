@@ -22,6 +22,10 @@ object DigraphOps {
       .where(col("src") =!= col("dst"))
       .dropDuplicates("src", "dst")
 
+  /** An edge DataFrame's (src, dst) rows on the driver, in partition order. */
+  def collectPairs(edges: DataFrame): Array[(Long, Long)] =
+    edges.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1)))
+
   /** Distinct vertices (endpoints of at least one edge), column ``id``. */
   def vertices(edges: DataFrame): DataFrame =
     edges.select(col("src").as("id")).union(edges.select(col("dst").as("id"))).distinct()

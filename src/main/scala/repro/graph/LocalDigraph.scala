@@ -61,13 +61,13 @@ object LocalDigraph {
 
   /** Build from raw id pairs; self-loops dropped, duplicates deduped. */
   def fromPairs(pairs: Seq[(Long, Long)]): LocalDigraph =
-    fromCleanPairs(pairs.filter(p => p._1 != p._2).distinct)
+    fromCleanPairs(pairs.filter(p => p._1 != p._2).distinct.toArray)
 
   /** Build from pairs already known self-loop-free and deduped (core
     * subgraphs of a canonicalized graph). Avoids the dedup pass and uses
     * sort + binary search instead of a boxing hash map for id remapping.
     */
-  def fromCleanPairs(clean: Seq[(Long, Long)]): LocalDigraph = {
+  def fromCleanPairs(clean: Array[(Long, Long)]): LocalDigraph = {
     val m = clean.length
     val all = new Array[Long](2 * m)
     var i = 0
@@ -95,5 +95,5 @@ object LocalDigraph {
 
   /** Collect an edge DataFrame (columns src, dst) to the driver. */
   def fromEdges(edges: DataFrame): LocalDigraph =
-    fromPairs(edges.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq)
+    fromPairs(DigraphOps.collectPairs(edges).toSeq)
 }

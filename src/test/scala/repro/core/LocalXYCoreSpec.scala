@@ -114,28 +114,6 @@ class LocalXYCoreSpec extends AnyFunSuite {
     }
   }
 
-  test("yMax finds the largest feasible y") {
-    // star with k=5: for x=5 the only S is the center; yMax = 1
-    val g = LocalDigraph.fromPairs((1 to 5).map(i => (0L, i.toLong)))
-    val c = LocalXYCore.peel(g, 5, 1)
-    val r = LocalXYCore.yMax(c, 5, 1, 10)
-    assert(r.isDefined && r.get._1 === 1)
-  }
-
-  test("yMax on bidirected K5") {
-    val pairs = for (i <- 0 until 5; j <- 0 until 5 if i != j) yield (i.toLong, j.toLong)
-    val g = LocalDigraph.fromPairs(pairs)
-    val c = LocalXYCore.peel(g, 1, 1)
-    val r = LocalXYCore.yMax(c, 1, 1, 20)
-    assert(r.isDefined && r.get._1 === 4) // every vertex has in-degree 4
-  }
-
-  test("yMax returns None when even yLo is infeasible") {
-    val g = LocalDigraph.fromPairs(Seq((1L, 2L)))
-    val c = LocalXYCore.peel(g, 1, 1)
-    assert(LocalXYCore.yMax(c, 1, 2, 5).isEmpty)
-  }
-
   test("requires x,y >= 1") {
     val g = LocalDigraph.fromPairs(Seq((1L, 2L)))
     intercept[IllegalArgumentException](LocalXYCore.peel(g, 0, 1))

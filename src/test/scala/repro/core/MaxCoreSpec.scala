@@ -103,26 +103,30 @@ class MaxCoreSpec extends AnyFunSuite {
     }
   }
 
+  /** maxXY on a Spark engine (None = default cutoff) equals the local engine's. */
+  private def assertSparkMatchesLocal(pairs: Seq[(Long, Long)], cutoff: Option[Long]): Unit = {
+    val df = TestGraphs.df(repro.SparkSpec.shared, pairs)
+    val engine = cutoff.fold(new SparkCoreEngine(df))(new SparkCoreEngine(df, _))
+    try {
+      val sparkMx = MaxCore.maxXY(engine).get
+      val localMx = MaxCore.maxXY(engineOf(pairs)).get
+      assert(sparkMx.x === localMx.x && sparkMx.y === localMx.y, s"cutoff $cutoff")
+      assert(math.abs(sparkMx.density - localMx.density) < 1e-12, s"cutoff $cutoff")
+    } finally engine.release()
+  }
+
+  /** A cutoff of a third of m: Spark rounds above it, cached local cores below it. */
+  private def thirdOfM(pairs: Seq[(Long, Long)]): Long = LocalDigraph.fromPairs(pairs).m / 3L
+
   test("Spark engine maxXY equals local engine on a skewed graph (pure dataflow)") {
-    val spark = repro.SparkSpec.shared
     val pairs = TestGraphs.skewedPairs(50, 250, seed = 17)
-    val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = 0L)
-    val sparkMx = MaxCore.maxXY(engine).get
-    val localMx = MaxCore.maxXY(engineOf(pairs)).get
-    assert(sparkMx.x === localMx.x && sparkMx.y === localMx.y)
-    assert(math.abs(sparkMx.density - localMx.density) < 1e-12)
-    engine.release()
+    for (cutoff <- Seq(0L, thirdOfM(pairs))) assertSparkMatchesLocal(pairs, Some(cutoff))
   }
 
   test("Spark engine maxXY equals local engine (delegated small-graph path)") {
-    val spark = repro.SparkSpec.shared
     val pairs = TestGraphs.skewedPairs(50, 250, seed = 18)
-    val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs)) // default cutoff: delegates
-    val sparkMx = MaxCore.maxXY(engine).get
-    val localMx = MaxCore.maxXY(engineOf(pairs)).get
-    assert(sparkMx.x === localMx.x && sparkMx.y === localMx.y)
-    assert(math.abs(sparkMx.density - localMx.density) < 1e-12)
-    engine.release()
+    // default cutoff: the whole graph is served on the driver
+    for (cutoff <- Seq(None, Some(thirdOfM(pairs)))) assertSparkMatchesLocal(pairs, cutoff)
   }
 
   test("jumping staircase handles a huge-hub graph quickly and exactly") {

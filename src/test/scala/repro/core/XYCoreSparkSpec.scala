@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.graph.{DigraphOps, LocalDigraph}
 
@@ -7,9 +8,14 @@ import repro.graph.{DigraphOps, LocalDigraph}
 class XYCoreSparkSpec extends SparkSpec {
   import spark.implicits._
 
-  private def peelBoth(pairs: Seq[(Long, Long)], x: Int, y: Int): (SparkCore, CoreSub) = {
+  /** XYCore.peel's core, wherever it was finished. */
+  private def peel(base: DataFrame, x: Int, y: Int, warm: Option[Candidate] = None,
+                   localCutoff: Long = 0L): Candidate =
+    XYCore.peel(base, x, y, warm, localCutoff).fold(c => c, _.candidate)
+
+  private def peelBoth(pairs: Seq[(Long, Long)], x: Int, y: Int): (Candidate, CoreSub) = {
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
-    val sparkCore = XYCore.peel(base, x, y)
+    val sparkCore = peel(base, x, y)
     val localCore = LocalXYCore.peel(LocalDigraph.fromPairs(pairs), x, y)
     (sparkCore, localCore)
   }
@@ -28,7 +34,7 @@ class XYCoreSparkSpec extends SparkSpec {
 
   test("empty input") {
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, Seq.empty))
-    assert(XYCore.peel(base, 1, 1).isEmpty)
+    assert(peel(base, 1, 1).isEmpty)
   }
 
   for (seed <- 1 to 10) {
@@ -37,7 +43,7 @@ class XYCoreSparkSpec extends SparkSpec {
       val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
       val g = LocalDigraph.fromPairs(pairs)
       for ((x, y) <- Seq((1, 1), (2, 1), (1, 2), (2, 2), (3, 2))) {
-        val sc = XYCore.peel(base, x, y)
+        val sc = peel(base, x, y)
         val lc = LocalXYCore.peel(g, x, y)
         assert(sc.s.toSeq === lc.s.toSeq, s"[$x,$y] S")
         assert(sc.t.toSeq === lc.t.toSeq, s"[$x,$y] T")
@@ -53,7 +59,7 @@ class XYCoreSparkSpec extends SparkSpec {
       val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
       val g = LocalDigraph.fromPairs(pairs)
       for ((x, y) <- Seq((1, 1), (2, 2), (3, 1), (4, 2))) {
-        val sc = XYCore.peel(base, x, y)
+        val sc = peel(base, x, y)
         val lc = LocalXYCore.peel(g, x, y)
         assert(sc.s.toSeq === lc.s.toSeq, s"[$x,$y]")
         assert(sc.t.toSeq === lc.t.toSeq, s"[$x,$y]")
@@ -68,9 +74,12 @@ class XYCoreSparkSpec extends SparkSpec {
       val pairs = TestGraphs.skewedPairs(50, 260, 600 + seed)
       val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
       for ((x, y) <- Seq((1, 1), (2, 2), (3, 2))) {
-        val pure = XYCore.peel(base, x, y, None, localCutoff = 0L)
-        val hybridLow = XYCore.peel(base, x, y, None, localCutoff = 10L)
-        val hybridAll = XYCore.peel(base, x, y, None, localCutoff = 1000000L)
+        val pure = peel(base, x, y, None, localCutoff = 0L)
+        val hybridLow = peel(base, x, y, None, localCutoff = 10L)
+        val all = XYCore.peel(base, x, y, None, localCutoff = 1000000L)
+        // a non-empty core under the cutoff comes back with its edges
+        assert(all.isRight || pure.isEmpty, s"[$x,$y]")
+        val hybridAll = all.fold(c => c, _.candidate)
         for (h <- Seq(hybridLow, hybridAll)) {
           assert(h.s.toSeq === pure.s.toSeq, s"[$x,$y]")
           assert(h.t.toSeq === pure.t.toSeq, s"[$x,$y]")
@@ -84,19 +93,22 @@ class XYCoreSparkSpec extends SparkSpec {
   test("hybrid peel honours a warm start below the cutoff") {
     val pairs = TestGraphs.skewedPairs(40, 200, seed = 8)
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
-    val c11 = XYCore.peel(base, 1, 1)
-    val cold = XYCore.peel(base, 2, 2)
+    val c11 = peel(base, 1, 1)
+    val cold = peel(base, 2, 2)
     val warm = XYCore.peel(base, 2, 2, Some(c11), localCutoff = 1000000L)
+      .getOrElse(fail("not finished on the driver"))
     assert(warm.s.toSeq === cold.s.toSeq && warm.t.toSeq === cold.t.toSeq && warm.m === cold.m)
+    // the driver finish keeps the core's edges
+    assert(warm.edges.toSet === XYCore.collectSub(base, cold).edges.toSet)
     base.unpersist()
   }
 
   test("warm start from a superset core gives the same result") {
     val pairs = TestGraphs.skewedPairs(40, 200, seed = 9)
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
-    val c11 = XYCore.peel(base, 1, 1)
-    val cold = XYCore.peel(base, 2, 2)
-    val warm = XYCore.peel(base, 2, 2, Some(c11))
+    val c11 = peel(base, 1, 1)
+    val cold = peel(base, 2, 2)
+    val warm = peel(base, 2, 2, Some(c11))
     assert(warm.s.toSeq === cold.s.toSeq)
     assert(warm.t.toSeq === cold.t.toSeq)
     assert(warm.m === cold.m)
@@ -105,22 +117,34 @@ class XYCoreSparkSpec extends SparkSpec {
 
   test("warm start from an empty core short-circuits to empty") {
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, Seq((1L, 2L)))).cache()
-    val emptyCore = SparkCore(2, 1, Array.empty, Array.empty, 0L)
-    assert(XYCore.peel(base, 3, 2, Some(emptyCore)).isEmpty)
+    val emptyCore = Candidate(Array.empty, Array.empty, 0L)
+    assert(peel(base, 3, 2, Some(emptyCore)).isEmpty)
     base.unpersist()
   }
 
   test("invalid warm start is rejected") {
-    val base = DigraphOps.canonicalize(TestGraphs.df(spark, Seq((1L, 2L))))
-    val c = SparkCore(2, 2, Array(1L), Array(2L), 1L)
-    intercept[IllegalArgumentException](XYCore.peel(base, 1, 1, Some(c)))
+    // a bidirected triangle plus 3→4: the [1,1]-core has 7 edges, the [2,2]-core 6
+    val pairs = Seq((1L, 2L), (2L, 1L), (2L, 3L), (3L, 2L), (1L, 3L), (3L, 1L), (3L, 4L))
+    val df = TestGraphs.df(spark, pairs)
+    val engines = Seq(
+      "local" -> new LocalCoreEngine(LocalDigraph.fromPairs(pairs)),
+      "spark, whole graph on the driver" -> new SparkCoreEngine(df),
+      "spark rounds" -> new SparkCoreEngine(df, localCutoff = 0L))
+    for ((name, e) <- engines) {
+      assert(e.core(1, 1).map(_.m) === Some(7L), name)
+      val c22 = e.core(2, 2).get
+      assert(c22.m === 6L, name)
+      intercept[IllegalArgumentException](e.core(1, 1, Some(c22)))
+      intercept[IllegalArgumentException](e.core(2, 1, Some(c22)))
+    }
+    engines.collect { case (_, e: SparkCoreEngine) => e.release() }
   }
 
   test("core constraint verified via DuckDB: every S vertex has >= x out-edges into T") {
     val pairs = TestGraphs.skewedPairs(30, 150, seed = 11)
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
     val x = 2; val y = 2
-    val core = XYCore.peel(base, x, y)
+    val core = peel(base, x, y)
     if (core.nonEmpty) {
       val coreEdges = XYCore.coreEdges(base, core)
       val sDf = core.s.toSeq.toDF("id")
@@ -140,7 +164,7 @@ class XYCoreSparkSpec extends SparkSpec {
   test("coreEdges of the [1,1]-core matches DuckDB pair filter") {
     val pairs = TestGraphs.randomPairs(15, 50, seed = 12)
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
-    val core = XYCore.peel(base, 1, 1)
+    val core = peel(base, 1, 1)
     val sDf = core.s.toSeq.toDF("id")
     val tDf = core.t.toSeq.toDF("id")
     Oracle.assertEquivalent(
@@ -153,12 +177,39 @@ class XYCoreSparkSpec extends SparkSpec {
   test("collectSub materializes exactly the core pair-subgraph") {
     val pairs = TestGraphs.randomPairs(15, 60, seed = 13)
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
-    val core = XYCore.peel(base, 2, 1)
+    val core = peel(base, 2, 1)
     val sub = XYCore.collectSub(base, core)
     val lc = LocalXYCore.peel(LocalDigraph.fromPairs(pairs), 2, 1)
     assert(sub.s.toSeq === lc.s.toSeq)
     assert(sub.t.toSeq === lc.t.toSeq)
     assert(sub.edges.toSet === lc.edges.toSet)
     base.unpersist()
+  }
+
+  test("Spark engine with a cutoff below m: warm-started cores equal the local engine's") {
+    val pairs = TestGraphs.skewedPairs(50, 260, seed = 19)
+    val local = new LocalCoreEngine(LocalDigraph.fromPairs(pairs))
+    // Spark rounds above a third of m, cached local cores below it
+    val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = local.m / 3L)
+    try {
+      assert(engine.n === local.n && engine.m === local.m)
+      var rowWarm: Option[CoreHandle] = None // the [x-1,1]-core
+      for (x <- 1 to 4) {
+        var warm = rowWarm
+        for (y <- 1 to 4) {
+          val s = engine.core(x, y, warm)
+          val l = local.core(x, y)
+          assert(s.map(h => (h.x, h.y, h.sSize, h.tSize, h.m)) === l.map(h => (h.x, h.y, h.sSize, h.tSize, h.m)),
+            s"[$x,$y]")
+          for (sh <- s; lh <- l) {
+            assert(sh.candidate().s.toSeq === lh.candidate().s.toSeq, s"[$x,$y] S")
+            assert(sh.candidate().t.toSeq === lh.candidate().t.toSeq, s"[$x,$y] T")
+            assert(sh.sub().edges.toSet === lh.sub().edges.toSet, s"[$x,$y] edges")
+          }
+          if (s.nonEmpty) warm = s
+          if (y == 1 && s.nonEmpty) rowWarm = s
+        }
+      }
+    } finally engine.release()
   }
 }

@@ -125,6 +125,16 @@ class DDSExactSpec extends AnyFunSuite {
     assert(r.density >= 1.0 - 1e-12) // at least the seed edge
   }
 
+  test("Baseline checks its budget before enumerating ratios (20k-leaf star)") {
+    // ~0.61·n² candidate ratios: they must be streamed, not built up front
+    val star = (1 to 20000).map(i => (0L, i.toLong))
+    val t0 = System.nanoTime()
+    val r = DDSExact.run(localEngine(star), DDSExact.Config(DDSExact.Mode.Baseline, wallBudgetMs = 1))
+    val ms = (System.nanoTime() - t0) / 1000000L
+    assert(r.dnf)
+    assert(ms < 20000, s"took ${ms}ms")
+  }
+
   test("best candidate's edge count is consistent with its sets") {
     val pairs = TestGraphs.randomPairs(9, 28, seed = 7777)
     val g = LocalDigraph.fromPairs(pairs)
@@ -138,13 +148,18 @@ class DDSExactSpec extends AnyFunSuite {
     test(s"Spark engine CoreExact equals local engine (seed=$seed)") {
       val spark = repro.SparkSpec.shared
       val pairs = TestGraphs.randomPairs(10, 35, 9000 + seed)
-      val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs))
-      val rSpark = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.CoreExact))
-      engine.release()
       val rLocal = runMode(pairs, DDSExact.Mode.CoreExact)
-      assert(math.abs(rSpark.density - rLocal.density) < 1e-9)
       val opt = BruteForce.dds(LocalDigraph.fromPairs(pairs)).density
-      assert(math.abs(rSpark.density - opt) < 1e-9)
+      // default cutoff (whole graph on the driver), and a third of m (Spark
+      // rounds above the cutoff, cached local cores below it)
+      val df = TestGraphs.df(spark, pairs)
+      for (engine <- Seq(new SparkCoreEngine(df),
+                         new SparkCoreEngine(df, localCutoff = LocalDigraph.fromPairs(pairs).m / 3L))) {
+        val rSpark = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.CoreExact))
+        engine.release()
+        assert(math.abs(rSpark.density - rLocal.density) < 1e-9)
+        assert(math.abs(rSpark.density - opt) < 1e-9)
+      }
     }
   }
 

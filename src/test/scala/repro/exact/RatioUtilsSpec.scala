@@ -103,4 +103,13 @@ class RatioUtilsSpec extends AnyFunSuite {
     assert(RatioUtils.pruneRadius(1.5) === 1.0)
     assert(RatioUtils.pruneRadius(0.0) > 1e100)
   }
+
+  test("candidateRatios streams every reduced p/q with p,q <= n in ascending order") {
+    @annotation.tailrec
+    def gcd(a: Int, b: Int): Int = if (b == 0) a else gcd(b, a % b)
+    for (n <- 0 to 40) {
+      val expected = (for (p <- 1 to n; q <- 1 to n if gcd(p, q) == 1) yield p.toDouble / q).sorted
+      assert(RatioUtils.candidateRatios(n).toSeq === expected, s"n=$n")
+    }
+  }
 }
