@@ -45,7 +45,7 @@ object BSApprox {
       while (live && !budgetHit) {
         if (elapsed > wallBudgetMs) budgetHit = true
         else {
-          val cur = if (sAlive == null) base else XYCore.restrict(base, sAlive, tAlive)
+          val cur = if (sAlive == null) base else DigraphOps.pairSubgraph(base, sAlive, tAlive)
           val rows = XYCore.degreeRows(cur)
           val sDeg = rows.filter(_._2 == 0)
           val tDeg = rows.filter(_._2 == 1)

@@ -72,23 +72,10 @@ final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
   private lazy val full: CoreSub = LocalXYCore.peel(g, 1, 1)
   def fullSub(): CoreSub = full
 
-  // warm cores are re-peeled many times in staircase searches; memoize the
-  // last CoreSub -> LocalDigraph conversion by reference identity
-  private var memoSub: CoreSub = null
-  private var memoGraph: LocalDigraph = null
-
-  private def graphOf(s: CoreSub): LocalDigraph = {
-    if (memoSub ne s) {
-      memoGraph = LocalDigraph.fromCleanPairs(s.edges)
-      memoSub = s
-    }
-    memoGraph
-  }
-
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
     CoreEngine.requireWarm(x, y, warm)
     val host = warm match {
-      case Some(h: H) => graphOf(h.s)
+      case Some(h: H) => h.s.g
       case _          => g // foreign handle: ignore warm start
     }
     val sub = LocalXYCore.peel(host, x, y)
@@ -109,9 +96,6 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
   /** Canonicalized, cached base edge set all cores derive from. */
   val base: DataFrame = DigraphOps.canonicalize(edges0).cache()
 
-  private def local(edges: Array[(Long, Long)]): LocalCoreEngine =
-    new LocalCoreEngine(LocalDigraph.fromCleanPairs(edges))
-
   /** A Spark-peeled core; ``local`` is its cache entry, if it got one. */
   private final case class H(x: Int, y: Int, core: Candidate, local: Option[LocalCoreEngine])
       extends CoreHandle {
@@ -126,11 +110,12 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
   lazy val m: Long = base.count()
 
   private lazy val whole: Option[LocalCoreEngine] =
-    Option.when(m <= localCutoff)(local(DigraphOps.collectPairs(base)))
+    Option.when(m <= localCutoff)(new LocalCoreEngine(LocalDigraph.fromEdges(base)))
 
   lazy val n: Long = whole.fold(DigraphOps.vertices(base).count())(_.n)
 
-  def fullSub(): CoreSub = whole.getOrElse(local(DigraphOps.collectPairs(base))).fullSub()
+  // canonical edges have no isolated vertex: the graph is its own [1,1]-core
+  def fullSub(): CoreSub = whole.fold(CoreSub(LocalDigraph.fromEdges(base)))(_.fullSub())
 
   private final case class Cached(x: Int, y: Int, engine: LocalCoreEngine)
   private lazy val cached: ArrayBuffer[Cached] = ArrayBuffer.from(whole.map(Cached(1, 1, _)))
@@ -147,7 +132,7 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
         if (core.isEmpty) None
         else {
           val entry = Option.when(core.m <= localCutoff && cached.size < 8) {
-            val e = local(peeled.getOrElse(XYCore.collectSub(base, core)).edges)
+            val e = new LocalCoreEngine(peeled.getOrElse(XYCore.collectSub(base, core)).g)
             cached += Cached(x, y, e)
             e
           }

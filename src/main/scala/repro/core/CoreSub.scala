@@ -1,34 +1,33 @@
 package repro.core
 
-import repro.graph.DigraphOps
+import repro.graph.{DigraphOps, LocalDigraph}
 
 /** A pair-subgraph (S, T, E(S,T)) materialized on the driver.
   *
   * This is the common currency between the core decomposition (which
   * produces [x,y]-cores as (S,T) pairs) and the flow machinery (which
-  * builds a network over exactly such a pair). ``s``/``t`` are original
-  * vertex ids (sorted, distinct); ``edges`` are all edges of the host
-  * graph from ``s`` into ``t``.
+  * builds a network over exactly such a pair). ``g`` holds exactly the
+  * edges E(S,T): S is the vertices with an out-edge, T those with an
+  * in-edge. Original ids are read back only by [[candidate]].
   */
-final case class CoreSub(s: Array[Long], t: Array[Long], edges: Array[(Long, Long)]) {
-  def sSize: Int      = s.length
-  def tSize: Int      = t.length
-  def m: Int          = edges.length
-  def isEmpty: Boolean = s.isEmpty || t.isEmpty || edges.isEmpty
+final case class CoreSub(g: LocalDigraph) {
+  lazy val sSize: Int = g.hasOut.count(identity)
+  lazy val tSize: Int = g.hasIn.count(identity)
+  def m: Int            = g.m
+  def isEmpty: Boolean  = m == 0
   def nonEmpty: Boolean = !isEmpty
 
-  def density: Double = DigraphOps.density(m.toLong, sSize.toLong, tSize.toLong)
-  def surrogate(a: Double): Double = DigraphOps.surrogate(m.toLong, sSize.toLong, tSize.toLong, a)
-  def candidate: Candidate = Candidate(s, t, m.toLong)
+  def candidate: Candidate = Candidate(g.idsOf(g.hasOut), g.idsOf(g.hasIn), m.toLong)
 }
 
 object CoreSub {
-  val empty: CoreSub = CoreSub(Array.empty, Array.empty, Array.empty)
+  val empty: CoreSub = CoreSub(LocalDigraph.fromPairs(Nil))
 }
 
 /** A candidate (S,T) answer with its exact edge count — the unit tracked by
   * the exact search and returned by approximation algorithms, and the form
-  * of a Spark-peeled core whose edges stay distributed.
+  * of a Spark-peeled core whose edges stay distributed. ``s`` and ``t`` are
+  * original vertex ids, sorted and distinct.
   */
 final case class Candidate(s: Array[Long], t: Array[Long], m: Long) {
   def sSize: Int = s.length

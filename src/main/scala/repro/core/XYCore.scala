@@ -31,15 +31,6 @@ object XYCore {
       .map(r => (r.getLong(0), r.getInt(1), r.getLong(2)))
   }
 
-  /** The edges of ``base`` from ``s`` into ``t`` (broadcast semi-joins). */
-  private[repro] def restrict(base: DataFrame, s: Array[Long], t: Array[Long]): DataFrame = {
-    val spark = base.sparkSession
-    import spark.implicits._
-    base
-      .join(broadcast(s.toSeq.toDF("__s")), col("src") === col("__s"), "left_semi")
-      .join(broadcast(t.toSeq.toDF("__t")), col("dst") === col("__t"), "left_semi")
-  }
-
   /** Peel ``base`` (cached canonical edges, columns src/dst) down to its
     * [x,y]-core. ``warm`` optionally restricts the search to a superset
     * core (valid whenever it is the [x',y']-core with x' ≤ x and y' ≤ y, by
@@ -65,8 +56,8 @@ object XYCore {
     var tAlive: Array[Long] = warm.map(_.t).orNull
 
     def finishLocally(): Either[Candidate, CoreSub] = {
-      val pairs = DigraphOps.collectPairs(restrict(base, sAlive, tAlive))
-      Right(LocalXYCore.peel(LocalDigraph.fromCleanPairs(pairs), x, y))
+      val alive = LocalDigraph.fromEdges(DigraphOps.pairSubgraph(base, sAlive, tAlive))
+      Right(LocalXYCore.peel(alive, x, y))
     }
 
     if (warm.exists(_.m <= localCutoff)) return finishLocally()
@@ -77,7 +68,7 @@ object XYCore {
       require(iterations < 10000, "peeling failed to converge")
       val cur =
         if (sAlive == null) base
-        else restrict(base, sAlive, tAlive)
+        else DigraphOps.pairSubgraph(base, sAlive, tAlive)
       val rows = degreeRows(cur)
       val curM = rows.collect { case (_, 0, c) => c }.sum
       val newS = rows.collect { case (id, 0, c) if c >= x => id }.sorted
@@ -99,10 +90,10 @@ object XYCore {
 
   /** The distributed edge set of a computed core. */
   def coreEdges(base: DataFrame, core: Candidate): DataFrame =
-    if (core.isEmpty) base.limit(0) else restrict(base, core.s, core.t)
+    if (core.isEmpty) base.limit(0) else DigraphOps.pairSubgraph(base, core.s, core.t)
 
   /** Materialize a core's pair-subgraph on the driver (for flow networks). */
   def collectSub(base: DataFrame, core: Candidate): CoreSub =
     if (core.isEmpty) CoreSub.empty
-    else CoreSub(core.s, core.t, DigraphOps.collectPairs(coreEdges(base, core)))
+    else CoreSub(LocalDigraph.fromEdges(coreEdges(base, core)))
 }

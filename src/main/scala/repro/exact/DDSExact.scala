@@ -66,8 +66,8 @@ object DDSExact {
     // ---- seed ----
     var maxXYInfo: Option[(Int, Int)] = None
     var best: Candidate = {
-      val (u, v) = full.edges.head
-      Candidate(Array(u), Array(v), 1L) // density 1 ≤ ρopt always
+      val g = full.g
+      Candidate(Array(g.ids(g.src(0))), Array(g.ids(g.dst(0))), 1L) // density 1 ≤ ρopt always
     }
     if (cfg.mode == Mode.CoreExact) {
       MaxCore.maxXY(engine).foreach { mx =>

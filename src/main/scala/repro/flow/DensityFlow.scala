@@ -25,12 +25,12 @@ object DensityFlow {
     */
   def bestAbove(sub: CoreSub, g: Double, a: Double): Option[Candidate] = {
     if (sub.isEmpty) return None
+    val d = sub.g
+    val sIdx = number(d.hasOut)
+    val tIdx = number(d.hasIn)
     val ns = sub.sSize
     val nt = sub.tSize
     val m  = sub.m
-
-    val sIdx = sub.s.zipWithIndex.toMap
-    val tIdx = sub.t.zipWithIndex.toMap
 
     // node layout: 0 = source, 1 = sink, 2..2+ns-1 = S-copies,
     // 2+ns..2+ns+nt-1 = T-copies, 2+ns+nt.. = edge nodes.
@@ -51,10 +51,9 @@ object DensityFlow {
     while (j < nt) { dinic.addEdge(tNode(j), T, tCost); j += 1 }
     var k = 0
     while (k < m) {
-      val (u, v) = sub.edges(k)
       dinic.addEdge(S, eNode(k), 1.0)
-      dinic.addEdge(eNode(k), sNode(sIdx(u)), inf)
-      dinic.addEdge(eNode(k), tNode(tIdx(v)), inf)
+      dinic.addEdge(eNode(k), sNode(sIdx(d.src(k))), inf)
+      dinic.addEdge(eNode(k), tNode(tIdx(d.dst(k))), inf)
       k += 1
     }
 
@@ -62,21 +61,20 @@ object DensityFlow {
     if (flow >= m - 1e-9 * (m + 1.0)) return None // min-cut == m: nothing above g
     val side = dinic.minCutSourceSide(S)
 
-    val sSel = (0 until ns).filter(i => side(sNode(i))).map(sub.s).toArray
-    val tSel = (0 until nt).filter(j => side(tNode(j))).map(sub.t).toArray
-    if (sSel.isEmpty || tSel.isEmpty) return None
+    val inS = Array.tabulate(d.n)(v => sIdx(v) >= 0 && side(sNode(sIdx(v))))
+    val inT = Array.tabulate(d.n)(v => tIdx(v) >= 0 && side(tNode(tIdx(v))))
+    if (!inS.contains(true) || !inT.contains(true)) return None
 
     // Exact integer edge count between the selected sides.
-    val sSet = sSel.toSet
-    val tSet = tSel.toSet
-    var e = 0L
-    k = 0
-    while (k < m) {
-      val (u, v) = sub.edges(k)
-      if (sSet.contains(u) && tSet.contains(v)) e += 1
-      k += 1
-    }
-    val cand = Candidate(sSel.sorted, tSel.sorted, e)
+    val cand = Candidate(d.idsOf(inS), d.idsOf(inT), d.edgesBetween(inS, inT))
     if (cand.surrogate(a) > g * (1 + 1e-12) + 1e-12) Some(cand) else None
+  }
+
+  /** Numbers the masked vertices 0, 1, ... in index order; -1 for the rest. */
+  private def number(mask: Array[Boolean]): Array[Int] = {
+    val idx = Array.fill(mask.length)(-1)
+    var next = 0
+    for (v <- mask.indices if mask(v)) { idx(v) = next; next += 1 }
+    idx
   }
 }

@@ -53,28 +53,45 @@ final class Dinic(val n: Int, val eps: Double = 1e-11) {
     level(t) != -1
   }
 
-  private def dfs(u: Int, t: Int, pushed: Double): Double = {
-    if (u == t) return pushed
-    var res = 0.0
-    var remaining = pushed
-    while (it(u) != -1 && remaining > eps) {
-      val e = it(u)
-      val v = head(e)
-      if (cap(e) > eps && level(v) == level(u) + 1) {
-        val d = dfs(v, t, math.min(remaining, cap(e)))
+  // explicit DFS stack, one frame per level: node, flow left to route, flow routed
+  private val stNode = new Array[Int](n)
+  private val stRem  = new Array[Double](n)
+  private val stRes  = new Array[Double](n)
+
+  /** Routes at most ``pushed`` from s along level-graph arcs in current-arc
+    * order, as a recursive DFS would. Iterative, so a level graph as deep as
+    * the network cannot overflow the call stack.
+    */
+  private def dfs(s: Int, t: Int, pushed: Double): Double = {
+    var top = 0
+    stNode(0) = s; stRem(0) = pushed; stRes(0) = 0.0
+    while (true) {
+      val u = stNode(top)
+      var descended = false
+      while (u != t && !descended && it(u) != -1 && stRem(top) > eps) {
+        val e = it(u)
+        val v = head(e)
+        if (cap(e) > eps && level(v) == level(u) + 1) {
+          top += 1
+          stNode(top) = v; stRem(top) = math.min(stRem(top - 1), cap(e)); stRes(top) = 0.0
+          descended = true
+        } else it(u) = nxt(e)
+      }
+      if (!descended) {
+        // frame done: its parent's current arc carries the d it routed
+        val d = if (u == t) stRem(top) else stRes(top)
+        if (top == 0) return d
+        top -= 1
+        val e = it(stNode(top))
         if (d > eps) {
           cap(e) -= d
           cap(e ^ 1) += d
-          res += d
-          remaining -= d
-        } else {
-          it(u) = nxt(e) // dead end; advance
-        }
-      } else {
-        it(u) = nxt(e)
+          stRes(top) += d
+          stRem(top) -= d
+        } else it(stNode(top)) = nxt(e) // dead end; advance
       }
     }
-    res
+    sys.error("unreachable")
   }
 
   /** Compute the max flow from s to t. Call at most once. */

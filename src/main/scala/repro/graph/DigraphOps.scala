@@ -22,10 +22,6 @@ object DigraphOps {
       .where(col("src") =!= col("dst"))
       .dropDuplicates("src", "dst")
 
-  /** An edge DataFrame's (src, dst) rows on the driver, in partition order. */
-  def collectPairs(edges: DataFrame): Array[(Long, Long)] =
-    edges.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1)))
-
   /** Distinct vertices (endpoints of at least one edge), column ``id``. */
   def vertices(edges: DataFrame): DataFrame =
     edges.select(col("src").as("id")).union(edges.select(col("dst").as("id"))).distinct()
@@ -38,27 +34,22 @@ object DigraphOps {
   def inDegrees(edges: DataFrame): DataFrame =
     edges.groupBy(col("dst").as("id")).agg(count(lit(1)).as("deg"))
 
-  /** Edges from S to T: semi-joins against vertex-id DataFrames (column ``id``).
-    * The id sets are expected to be small relative to the edge set, so we
-    * broadcast them explicitly (auto-broadcast is disabled session-wide).
+  /** Edges from S to T: semi-joins against vertex-id arrays. The id sets
+    * are expected to be small relative to the edge set, so we broadcast them
+    * explicitly (auto-broadcast is disabled session-wide).
     */
-  def pairSubgraph(edges: DataFrame, s: DataFrame, t: DataFrame): DataFrame =
+  def pairSubgraph(edges: DataFrame, s: Array[Long], t: Array[Long]): DataFrame = {
+    val spark = edges.sparkSession
+    import spark.implicits._
     edges
-      .join(broadcast(s.select(col("id").as("__s"))), col("src") === col("__s"), "left_semi")
-      .join(broadcast(t.select(col("id").as("__t"))), col("dst") === col("__t"), "left_semi")
+      .join(broadcast(s.toSeq.toDF("__s")), col("src") === col("__s"), "left_semi")
+      .join(broadcast(t.toSeq.toDF("__t")), col("dst") === col("__t"), "left_semi")
+  }
 
   /** Directed density ρ(S,T) = |E(S,T)| / sqrt(|S|·|T|) (Kannan–Vinay). */
   def density(m: Long, sSize: Long, tSize: Long): Double =
     if (sSize <= 0 || tSize <= 0) 0.0
     else m.toDouble / math.sqrt(sSize.toDouble * tSize.toDouble)
-
-  /** ρ(S,T) computed from DataFrames (for Oracle-checked tests and reports). */
-  def densityOf(edges: DataFrame, s: DataFrame, t: DataFrame): Double = {
-    val sSize = s.select("id").distinct().count()
-    val tSize = t.select("id").distinct().count()
-    val m     = pairSubgraph(edges, s, t).count()
-    density(m, sSize, tSize)
-  }
 
   /** Fixed-ratio surrogate ρ'_a(S,T) = 2m / (|S|/√a + √a·|T|). AM–GM gives
     * ρ'_a ≤ ρ with equality iff |S|/|T| = a.
@@ -66,9 +57,6 @@ object DigraphOps {
   def surrogate(m: Long, sSize: Long, tSize: Long, a: Double): Double =
     if (sSize <= 0 || tSize <= 0) 0.0
     else 2.0 * m / (sSize / math.sqrt(a) + math.sqrt(a) * tSize)
-
-  /** φ(a,b) = 2√(ab)/(a+b) ∈ (0,1]; the surrogate-vs-true density factor. */
-  def phi(a: Double, b: Double): Double = 2.0 * math.sqrt(a * b) / (a + b)
 
   /** Graph summary statistics. */
   def stats(edges: DataFrame): GraphStats = {

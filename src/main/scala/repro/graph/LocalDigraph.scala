@@ -4,11 +4,13 @@ import org.apache.spark.sql.DataFrame
 
 /** Driver-side compressed digraph over remapped vertex indices 0..n-1.
   *
-  * Used for (a) reference implementations that cross-validate the Spark
-  * path, and (b) the flow networks of the exact algorithm, which are built
-  * on core-pruned subgraphs small enough to solve on the driver.
+  * The one driver-side edge format: collected graphs and cores, the local
+  * peeler's input and output, warm starts and the flow networks of the
+  * exact algorithm all use it. Original ids are read back only to build an
+  * answer.
   *
-  * ``ids(i)`` maps the internal index ``i`` back to the original vertex id.
+  * ``ids(i)`` maps the internal index ``i`` back to the original vertex id;
+  * ``ids`` is ascending, so index order is id order.
   */
 final class LocalDigraph(val n: Int,
                          val src: Array[Int],
@@ -37,12 +39,52 @@ final class LocalDigraph(val n: Int,
   def outDeg(u: Int): Int = outOff(u + 1) - outOff(u)
   def inDeg(v: Int): Int  = inOff(v + 1) - inOff(v)
 
+  /** Masks of the vertices with an out-edge (``hasOut``) and with an in-edge. */
+  def hasOut: Array[Boolean] = marks(src)
+  def hasIn: Array[Boolean]  = marks(dst)
+
+  private def marks(ends: Array[Int]): Array[Boolean] = {
+    val b = new Array[Boolean](n)
+    ends.foreach(b(_) = true)
+    b
+  }
+
+  /** Original ids of the masked vertices, ascending. */
+  def idsOf(mask: Array[Boolean]): Array[Long] = {
+    val out = Array.newBuilder[Long]
+    for (v <- 0 until n if mask(v)) out += ids(v)
+    out.result()
+  }
+
   /** |E(S,T)| for index-based membership masks. */
   def edgesBetween(inS: Array[Boolean], inT: Array[Boolean]): Long = {
     var c = 0L
     var i = 0
     while (i < m) { if (inS(src(i)) && inT(dst(i))) c += 1; i += 1 }
     c
+  }
+
+  /** The edges from ``inS`` into ``inT``, in this graph's edge order, over
+    * their endpoints only (indices compacted, ids still ascending). Returns
+    * this graph when every edge and vertex stays.
+    */
+  def restrict(inS: Array[Boolean], inT: Array[Boolean]): LocalDigraph = {
+    val keep = new Array[Boolean](m)
+    val index = new Array[Int](n) // new index + 1; 0 = dropped
+    for (i <- 0 until m if inS(src(i)) && inT(dst(i))) {
+      keep(i) = true; index(src(i)) = 1; index(dst(i)) = 1
+    }
+    var n2 = 0
+    for (v <- 0 until n if index(v) != 0) { n2 += 1; index(v) = n2 }
+    val m2 = keep.count(identity)
+    if (m2 == m && n2 == n) return this
+    val ids2 = new Array[Long](n2)
+    for (v <- 0 until n if index(v) != 0) ids2(index(v) - 1) = ids(v)
+    val src2 = new Array[Int](m2)
+    val dst2 = new Array[Int](m2)
+    var k = 0
+    for (i <- 0 until m if keep(i)) { src2(k) = index(src(i)) - 1; dst2(k) = index(dst(i)) - 1; k += 1 }
+    new LocalDigraph(n2, src2, dst2, ids2)
   }
 
   /** |E(S,T)| for original-id sets. */
@@ -60,22 +102,32 @@ final class LocalDigraph(val n: Int,
 object LocalDigraph {
 
   /** Build from raw id pairs; self-loops dropped, duplicates deduped. */
-  def fromPairs(pairs: Seq[(Long, Long)]): LocalDigraph =
-    fromCleanPairs(pairs.filter(p => p._1 != p._2).distinct.toArray)
+  def fromPairs(pairs: Seq[(Long, Long)]): LocalDigraph = {
+    val clean = pairs.filter(p => p._1 != p._2).distinct
+    fromClean(clean.map(_._1).toArray, clean.map(_._2).toArray)
+  }
 
-  /** Build from pairs already known self-loop-free and deduped (core
-    * subgraphs of a canonicalized graph). Avoids the dedup pass and uses
-    * sort + binary search instead of a boxing hash map for id remapping.
+  /** Collect a canonical edge DataFrame (columns src, dst; no self-loops or
+    * duplicates, see [[DigraphOps.canonicalize]]) to the driver, keeping
+    * its row order.
     */
-  def fromCleanPairs(clean: Array[(Long, Long)]): LocalDigraph = {
-    val m = clean.length
+  def fromEdges(edges: DataFrame): LocalDigraph = {
+    val rows = edges.select("src", "dst").collect()
+    fromClean(rows.map(_.getLong(0)), rows.map(_.getLong(1)))
+  }
+
+  /** Build from edges ``src(i) → dst(i)`` already known self-loop-free and
+    * deduped. Ids are numbered by sort + binary search, not a boxing hash map.
+    */
+  private def fromClean(srcIds: Array[Long], dstIds: Array[Long]): LocalDigraph = {
+    val m = srcIds.length
     val all = new Array[Long](2 * m)
-    var i = 0
-    while (i < m) { val p = clean(i); all(2 * i) = p._1; all(2 * i + 1) = p._2; i += 1 }
+    System.arraycopy(srcIds, 0, all, 0, m)
+    System.arraycopy(dstIds, 0, all, m, m)
     java.util.Arrays.sort(all)
     // unique
     var n = 0
-    i = 0
+    var i = 0
     while (i < 2 * m) {
       if (n == 0 || all(n - 1) != all(i)) { all(n) = all(i); n += 1 }
       i += 1
@@ -85,15 +137,10 @@ object LocalDigraph {
     val dst = new Array[Int](m)
     i = 0
     while (i < m) {
-      val p = clean(i)
-      src(i) = java.util.Arrays.binarySearch(ids, p._1)
-      dst(i) = java.util.Arrays.binarySearch(ids, p._2)
+      src(i) = java.util.Arrays.binarySearch(ids, srcIds(i))
+      dst(i) = java.util.Arrays.binarySearch(ids, dstIds(i))
       i += 1
     }
     new LocalDigraph(n, src, dst, ids)
   }
-
-  /** Collect an edge DataFrame (columns src, dst) to the driver. */
-  def fromEdges(edges: DataFrame): LocalDigraph =
-    fromPairs(DigraphOps.collectPairs(edges).toSeq)
 }

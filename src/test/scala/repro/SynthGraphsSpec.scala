@@ -52,9 +52,8 @@ class SynthGraphsSpec extends SparkSpec {
   test("planted graph contains a dense block of the right shape") {
     val n = 2000L
     val e = SynthGraphs.planted(spark, n, 5000, 20, 30, 0.8, seed = 5).cache()
-    import spark.implicits._
-    val s = (1L to 20L).toDF("id")
-    val t = ((n - 30 + 1) to n).toDF("id")
+    val s = (1L to 20L).toArray
+    val t = ((n - 30 + 1) to n).toArray
     val blockEdges = DigraphOps.pairSubgraph(e, s, t).count()
     // expect ~0.8 * 600 = 480 block edges plus a few background ones
     assert(blockEdges > 400, s"block edges $blockEdges")

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
+import repro.exact.RatioUtils
 import repro.graph.{DigraphOps, LocalDigraph}
 
 /** ScalaCheck property suite over the density algebra and the reference
@@ -25,37 +26,39 @@ object CoreProps extends Properties("core") {
 
   property("phi in (0,1], symmetric") = Prop.forAll(
     Gen.choose(0.01, 100.0), Gen.choose(0.01, 100.0)) { (a, b) =>
-    val p = DigraphOps.phi(a, b)
-    p > 0 && p <= 1.0 + 1e-12 && math.abs(p - DigraphOps.phi(b, a)) < 1e-12
+    val p = RatioUtils.phi(a, b)
+    p > 0 && p <= 1.0 + 1e-12 && math.abs(p - RatioUtils.phi(b, a)) < 1e-12
   }
 
   property("[x,y]-core satisfies its degree constraints") = Prop.forAll(
     genGraph, Gen.choose(1, 3), Gen.choose(1, 3)) { (g, x, y) =>
     val c = LocalXYCore.peel(g, x, y)
     c.isEmpty || {
-      val tSet = c.t.toSet
-      val sSet = c.s.toSet
-      c.s.forall(u => c.edges.count(e => e._1 == u && tSet.contains(e._2)) >= x) &&
-      c.t.forall(v => c.edges.count(e => e._2 == v && sSet.contains(e._1)) >= y)
+      val cand = c.candidate
+      val edges = c.g.edgePairs
+      val tSet = cand.t.toSet
+      val sSet = cand.s.toSet
+      cand.s.forall(u => edges.count(e => e._1 == u && tSet.contains(e._2)) >= x) &&
+      cand.t.forall(v => edges.count(e => e._2 == v && sSet.contains(e._1)) >= y)
     }
   }
 
   property("non-empty [x,y]-core has density >= sqrt(x*y)") = Prop.forAll(
     genGraph, Gen.choose(1, 3), Gen.choose(1, 3)) { (g, x, y) =>
     val c = LocalXYCore.peel(g, x, y)
-    c.isEmpty || c.density >= math.sqrt(x.toDouble * y) - 1e-9
+    c.isEmpty || c.candidate.density >= math.sqrt(x.toDouble * y) - 1e-9
   }
 
   property("cores nested in x") = Prop.forAll(genGraph, Gen.choose(1, 3)) { (g, y) =>
-    val c1 = LocalXYCore.peel(g, 1, y)
-    val c2 = LocalXYCore.peel(g, 2, y)
+    val c1 = LocalXYCore.peel(g, 1, y).candidate
+    val c2 = LocalXYCore.peel(g, 2, y).candidate
     c2.s.toSet.subsetOf(c1.s.toSet) && c2.t.toSet.subsetOf(c1.t.toSet)
   }
 
   property("candidate density consistent with edge recount") = Prop.forAll(genGraph) { g =>
     val c = LocalXYCore.peel(g, 1, 1)
     c.isEmpty || {
-      val recount = g.edgesBetweenIds(c.s.toSet, c.t.toSet)
+      val recount = g.edgesBetweenIds(c.candidate.s.toSet, c.candidate.t.toSet)
       recount == c.m.toLong
     }
   }

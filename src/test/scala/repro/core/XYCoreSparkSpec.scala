@@ -13,10 +13,10 @@ class XYCoreSparkSpec extends SparkSpec {
                    localCutoff: Long = 0L): Candidate =
     XYCore.peel(base, x, y, warm, localCutoff).fold(c => c, _.candidate)
 
-  private def peelBoth(pairs: Seq[(Long, Long)], x: Int, y: Int): (Candidate, CoreSub) = {
+  private def peelBoth(pairs: Seq[(Long, Long)], x: Int, y: Int): (Candidate, Candidate) = {
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
     val sparkCore = peel(base, x, y)
-    val localCore = LocalXYCore.peel(LocalDigraph.fromPairs(pairs), x, y)
+    val localCore = LocalXYCore.peel(LocalDigraph.fromPairs(pairs), x, y).candidate
     (sparkCore, localCore)
   }
 
@@ -44,7 +44,7 @@ class XYCoreSparkSpec extends SparkSpec {
       val g = LocalDigraph.fromPairs(pairs)
       for ((x, y) <- Seq((1, 1), (2, 1), (1, 2), (2, 2), (3, 2))) {
         val sc = peel(base, x, y)
-        val lc = LocalXYCore.peel(g, x, y)
+        val lc = LocalXYCore.peel(g, x, y).candidate
         assert(sc.s.toSeq === lc.s.toSeq, s"[$x,$y] S")
         assert(sc.t.toSeq === lc.t.toSeq, s"[$x,$y] T")
         assert(sc.m === lc.m.toLong, s"[$x,$y] m")
@@ -60,7 +60,7 @@ class XYCoreSparkSpec extends SparkSpec {
       val g = LocalDigraph.fromPairs(pairs)
       for ((x, y) <- Seq((1, 1), (2, 2), (3, 1), (4, 2))) {
         val sc = peel(base, x, y)
-        val lc = LocalXYCore.peel(g, x, y)
+        val lc = LocalXYCore.peel(g, x, y).candidate
         assert(sc.s.toSeq === lc.s.toSeq, s"[$x,$y]")
         assert(sc.t.toSeq === lc.t.toSeq, s"[$x,$y]")
         assert(sc.m === lc.m.toLong, s"[$x,$y]")
@@ -95,11 +95,12 @@ class XYCoreSparkSpec extends SparkSpec {
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
     val c11 = peel(base, 1, 1)
     val cold = peel(base, 2, 2)
-    val warm = XYCore.peel(base, 2, 2, Some(c11), localCutoff = 1000000L)
+    val warmSub = XYCore.peel(base, 2, 2, Some(c11), localCutoff = 1000000L)
       .getOrElse(fail("not finished on the driver"))
+    val warm = warmSub.candidate
     assert(warm.s.toSeq === cold.s.toSeq && warm.t.toSeq === cold.t.toSeq && warm.m === cold.m)
     // the driver finish keeps the core's edges
-    assert(warm.edges.toSet === XYCore.collectSub(base, cold).edges.toSet)
+    assert(warmSub.g.edgePairs.toSet === XYCore.collectSub(base, cold).g.edgePairs.toSet)
     base.unpersist()
   }
 
@@ -180,34 +181,39 @@ class XYCoreSparkSpec extends SparkSpec {
     val core = peel(base, 2, 1)
     val sub = XYCore.collectSub(base, core)
     val lc = LocalXYCore.peel(LocalDigraph.fromPairs(pairs), 2, 1)
-    assert(sub.s.toSeq === lc.s.toSeq)
-    assert(sub.t.toSeq === lc.t.toSeq)
-    assert(sub.edges.toSet === lc.edges.toSet)
+    assert(sub.candidate.s.toSeq === lc.candidate.s.toSeq)
+    assert(sub.candidate.t.toSeq === lc.candidate.t.toSeq)
+    assert(sub.g.edgePairs.toSet === lc.g.edgePairs.toSet)
     base.unpersist()
   }
 
   test("Spark engine with a cutoff below m: warm-started cores equal the local engine's") {
     val pairs = TestGraphs.skewedPairs(50, 260, seed = 19)
-    val local = new LocalCoreEngine(LocalDigraph.fromPairs(pairs))
+    val g = LocalDigraph.fromPairs(pairs)
+    val local = new LocalCoreEngine(g)
     // Spark rounds above a third of m, cached local cores below it
     val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = local.m / 3L)
     try {
       assert(engine.n === local.n && engine.m === local.m)
-      var rowWarm: Option[CoreHandle] = None // the [x-1,1]-core
-      for (x <- 1 to 4) {
-        var warm = rowWarm
-        for (y <- 1 to 4) {
-          val s = engine.core(x, y, warm)
-          val l = local.core(x, y)
-          assert(s.map(h => (h.x, h.y, h.sSize, h.tSize, h.m)) === l.map(h => (h.x, h.y, h.sSize, h.tSize, h.m)),
-            s"[$x,$y]")
-          for (sh <- s; lh <- l) {
-            assert(sh.candidate().s.toSeq === lh.candidate().s.toSeq, s"[$x,$y] S")
-            assert(sh.candidate().t.toSeq === lh.candidate().t.toSeq, s"[$x,$y] T")
-            assert(sh.sub().edges.toSet === lh.sub().edges.toSet, s"[$x,$y] edges")
+      // each engine is warm-started from its own handles
+      for ((name, e) <- Seq("spark" -> engine, "local, warm" -> new LocalCoreEngine(g))) {
+        var rowWarm: Option[CoreHandle] = None // the [x-1,1]-core
+        for (x <- 1 to 4) {
+          var warm = rowWarm
+          for (y <- 1 to 4) {
+            val s = e.core(x, y, warm)
+            val l = local.core(x, y)
+            assert(s.map(h => (h.x, h.y, h.sSize, h.tSize, h.m)) === l.map(h => (h.x, h.y, h.sSize, h.tSize, h.m)),
+              s"$name [$x,$y]")
+            val cold = LocalXYCore.peel(g, x, y)
+            for (sh <- s) {
+              assert(sh.candidate().s.toSeq === cold.candidate.s.toSeq, s"$name [$x,$y] S")
+              assert(sh.candidate().t.toSeq === cold.candidate.t.toSeq, s"$name [$x,$y] T")
+              assert(sh.sub().g.edgePairs.toSet === cold.g.edgePairs.toSet, s"$name [$x,$y] edges")
+            }
+            if (s.nonEmpty) warm = s
+            if (y == 1 && s.nonEmpty) rowWarm = s
           }
-          if (s.nonEmpty) warm = s
-          if (y == 1 && s.nonEmpty) rowWarm = s
         }
       }
     } finally engine.release()

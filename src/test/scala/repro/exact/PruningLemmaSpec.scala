@@ -32,8 +32,8 @@ class PruningLemmaSpec extends AnyFunSuite {
                 if (d > rhoB) rhoB = d
               }
             }
-            assert(rhoB <= oA / DigraphOps.phi(a, b) + 1e-9,
-              s"a=$a b=$b rhoB=$rhoB bound=${oA / DigraphOps.phi(a, b)}")
+            assert(rhoB <= oA / RatioUtils.phi(a, b) + 1e-9,
+              s"a=$a b=$b rhoB=$rhoB bound=${oA / RatioUtils.phi(a, b)}")
           }
         }
       }

@@ -9,14 +9,9 @@ import repro.ref.BruteForce
 /** The (g, a) decision network: decide-and-extract vs brute force. */
 class DensityFlowSpec extends AnyFunSuite {
 
-  private def toSub(g: LocalDigraph): CoreSub = {
-    val pairs = g.edgePairs.toArray
-    CoreSub(pairs.map(_._1).distinct.sorted, pairs.map(_._2).distinct.sorted, pairs)
-  }
-
   test("single edge: decision flips exactly at the surrogate value") {
     val g = LocalDigraph.fromPairs(Seq((1L, 2L)))
-    val sub = toSub(g)
+    val sub = CoreSub(g)
     val a = 1.0
     val sur = DigraphOps.surrogate(1, 1, 1, a) // = 1.0
     assert(DensityFlow.bestAbove(sub, sur - 0.01, a).isDefined)
@@ -26,7 +21,7 @@ class DensityFlowSpec extends AnyFunSuite {
 
   test("extraction at g=0 returns a pair with positive surrogate") {
     val g = TestGraphs.randomLocal(8, 14, seed = 3)
-    val sub = toSub(g)
+    val sub = CoreSub(g)
     val c = DensityFlow.bestAbove(sub, 0.0, 1.0)
     assert(c.isDefined)
     assert(c.get.surrogate(1.0) > 0.0)
@@ -34,7 +29,7 @@ class DensityFlowSpec extends AnyFunSuite {
 
   test("networkNodes counts 2 + |S| + |T| + m") {
     val g = TestGraphs.randomLocal(8, 14, seed = 4)
-    val sub = toSub(g)
+    val sub = CoreSub(g)
     assert(DensityFlow.networkNodes(sub) === 2 + sub.sSize + sub.tSize + sub.m)
   }
 
@@ -42,7 +37,7 @@ class DensityFlowSpec extends AnyFunSuite {
     test(s"decision matches brute-force surrogate max (seed=$seed a=$a)") {
       val g = TestGraphs.randomLocal(7, 4 + seed, seed)
       if (g.m > 0) {
-        val sub = toSub(g)
+        val sub = CoreSub(g)
         val opt = BruteForce.surrogateMax(g, a)
         // strictly below opt: must find something better
         val below = DensityFlow.bestAbove(sub, opt * 0.999 - 1e-9, a)
@@ -59,7 +54,7 @@ class DensityFlowSpec extends AnyFunSuite {
     test(s"extracted pair is the exact surrogate argmax after Dinkelbach (seed=$seed)") {
       val g = TestGraphs.randomLocal(7, 6 + seed, 50 + seed)
       if (g.m > 0) {
-        val sub = toSub(g)
+        val sub = CoreSub(g)
         val a = 1.0 + (seed % 3) * 0.5
         // Dinkelbach iteration from 0 must converge to the brute-force optimum.
         var gCur = 0.0
@@ -90,7 +85,7 @@ class DensityFlowSpec extends AnyFunSuite {
     // 3x2 complete bipartite: surrogate at a=3/2 equals density sqrt(6)=2.449...
     val pairs = for (i <- 0 until 3; j <- 0 until 2) yield (i.toLong, (10 + j).toLong)
     val g = LocalDigraph.fromPairs(pairs)
-    val sub = toSub(g)
+    val sub = CoreSub(g)
     val a = 1.5
     val c = DensityFlow.bestAbove(sub, math.sqrt(6.0) - 0.01, a)
     assert(c.isDefined)

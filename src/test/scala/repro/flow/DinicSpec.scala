@@ -54,10 +54,17 @@ class DinicSpec extends AnyFunSuite {
     assert(solve(3, Seq((0, 1, 0.0), (1, 2, 7.0)), 0, 2) === 0.0)
   }
 
-  test("bottleneck in a chain") {
-    val e = Seq((0, 1, 9.0), (1, 2, 0.5), (2, 3, 9.0))
-    assert(math.abs(solve(4, e, 0, 3) - 0.5) < 1e-12)
-  }
+  for (k <- Seq(4, 100000))
+    test(s"bottleneck in a chain of $k nodes") {
+      // path 0 → 1 → … → k−1: capacity 9 except one 0.5 arc in the middle;
+      // the level graph is k levels deep
+      val mid = (k - 1) / 2
+      val d = new Dinic(k)
+      for (i <- 0 until k - 1) d.addEdge(i, i + 1, if (i == mid) 0.5 else 9.0)
+      assert(math.abs(d.maxflow(0, k - 1) - 0.5) < 1e-12)
+      val side = d.minCutSourceSide(0)
+      assert((0 until k).forall(v => side(v) == (v <= mid)))
+    }
 
   test("anti-parallel edges") {
     val e = Seq((0, 1, 3.0), (1, 0, 2.0), (1, 2, 3.0))

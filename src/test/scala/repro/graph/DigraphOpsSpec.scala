@@ -2,6 +2,7 @@ package repro.graph
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.exact.RatioUtils
 
 /** DataFrame digraph primitives, each checked against the DuckDB oracle. */
 class DigraphOpsSpec extends SparkSpec {
@@ -48,34 +49,13 @@ class DigraphOpsSpec extends SparkSpec {
   }
 
   test("pairSubgraph matches DuckDB semi-joins") {
-    val s = Seq(1L, 2L, 4L).toDF("id")
-    val t = Seq(1L, 3L).toDF("id")
+    val s = Array(1L, 2L, 4L)
+    val t = Array(1L, 3L)
     Oracle.assertEquivalent(
       DigraphOps.pairSubgraph(edges, s, t),
       "SELECT e.src AS src, e.dst AS dst FROM edges e " +
         "WHERE e.src IN (SELECT id FROM s) AND e.dst IN (SELECT id FROM t)",
-      "edges" -> edges, "s" -> s, "t" -> t)
-  }
-
-  test("densityOf agrees with DuckDB-computed density") {
-    val s = Seq(1L, 2L, 4L).toDF("id")
-    val t = Seq(1L, 3L).toDF("id")
-    val viaDf = DigraphOps.densityOf(edges, s, t)
-    // duckdb: count edges in the pair subgraph / sqrt(|S| |T|)
-    import java.sql.DriverManager
-    val conn = DriverManager.getConnection("jdbc:duckdb:")
-    try {
-      val st = conn.createStatement()
-      val pairsSql = pairs.map(p => s"(${p._1},${p._2})").mkString(",")
-      st.execute("CREATE TABLE edges(src BIGINT, dst BIGINT)")
-      st.execute(s"INSERT INTO edges VALUES $pairsSql")
-      val rs = st.executeQuery(
-        "SELECT COUNT(*) FROM (SELECT DISTINCT src,dst FROM edges WHERE src<>dst) " +
-          "WHERE src IN (1,2,4) AND dst IN (1,3)")
-      rs.next()
-      val m = rs.getLong(1)
-      assert(math.abs(viaDf - m / math.sqrt(3.0 * 2.0)) < 1e-12)
-    } finally conn.close()
+      "edges" -> edges, "s" -> s.toSeq.toDF("id"), "t" -> t.toSeq.toDF("id"))
   }
 
   test("density formula basics") {
@@ -102,9 +82,9 @@ class DigraphOpsSpec extends SparkSpec {
   }
 
   test("phi is 1 iff a=b and symmetric in log scale") {
-    assert(math.abs(DigraphOps.phi(2.0, 2.0) - 1.0) < 1e-12)
-    assert(math.abs(DigraphOps.phi(1.0, 4.0) - DigraphOps.phi(4.0, 1.0)) < 1e-12)
-    assert(DigraphOps.phi(1.0, 4.0) < 1.0)
+    assert(math.abs(RatioUtils.phi(2.0, 2.0) - 1.0) < 1e-12)
+    assert(math.abs(RatioUtils.phi(1.0, 4.0) - RatioUtils.phi(4.0, 1.0)) < 1e-12)
+    assert(RatioUtils.phi(1.0, 4.0) < 1.0)
   }
 
   test("stats computes n, m and max degrees") {
@@ -121,8 +101,6 @@ class DigraphOpsSpec extends SparkSpec {
   }
 
   test("pairSubgraph with empty sides is empty") {
-    val s = Seq.empty[Long].toDF("id")
-    val t = Seq(1L).toDF("id")
-    assert(DigraphOps.pairSubgraph(edges, s, t).count() === 0)
+    assert(DigraphOps.pairSubgraph(edges, Array.empty[Long], Array(1L)).count() === 0)
   }
 }
