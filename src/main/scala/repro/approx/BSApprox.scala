@@ -1,7 +1,7 @@
 package repro.approx
 
 import org.apache.spark.sql.DataFrame
-import repro.core.XYCore
+import repro.core.{CoreSub, LocalXYCore, XYCore}
 import repro.graph.{DigraphOps, LocalDigraph}
 
 /** Bahmani-style batch-peeling approximation (the natural dataflow
@@ -23,6 +23,7 @@ object BSApprox {
     */
   def run(edges0: DataFrame, eps: Double = 1.0, gridFactor: Double = 2.0,
           wallBudgetMs: Long = Long.MaxValue): ApproxResult = {
+    requireParams(eps, gridFactor)
     val t0 = System.nanoTime()
     def elapsed = (System.nanoTime() - t0) / 1000000L
     val base = DigraphOps.canonicalize(edges0).cache()
@@ -79,60 +80,49 @@ object BSApprox {
     ApproxResult("BSApprox", best, bestS, bestT, elapsed, note)
   }
 
-  /** Local reference with identical semantics (tests, small graphs). */
+  /** Local version with identical semantics (tests, small graphs). Each
+    * batch round is one core of [[LocalXYCore.peel]] on the previous
+    * round's pair: dropping every S vertex with out-degree ≤ thr is the
+    * [⌊thr⌋+1, 1]-core, since dropping S vertices lowers no S degree and
+    * only strands T vertices of in-degree 0 (T rounds are symmetric).
+    */
   def runLocal(g: LocalDigraph, eps: Double = 1.0, gridFactor: Double = 2.0): ApproxResult = {
+    requireParams(eps, gridFactor)
     val t0 = System.nanoTime()
     if (g.m == 0)
       return ApproxResult("BSApprox*", 0.0, 0, 0, (System.nanoTime() - t0) / 1000000L, "empty")
-    val nS0 = (0 until g.n).count(g.outDeg(_) > 0)
-    val nT0 = (0 until g.n).count(g.inDeg(_) > 0)
+    val full = CoreSub(g)
     var best = 0.0
     var bestS = 0L
     var bestT = 0L
-    var a = 1.0 / nT0
-    while (a <= nS0 * gridFactor) {
-      val inS = Array.tabulate(g.n)(g.outDeg(_) > 0)
-      val inT = Array.tabulate(g.n)(g.inDeg(_) > 0)
+    var a = 1.0 / full.tSize
+    while (a <= full.sSize * gridFactor) {
+      var cur = full
       var live = true
       while (live) {
-        val outd = new Array[Long](g.n)
-        val ind = new Array[Long](g.n)
-        var m = 0L
-        var i = 0
-        while (i < g.m) {
-          if (inS(g.src(i)) && inT(g.dst(i))) { outd(g.src(i)) += 1; ind(g.dst(i)) += 1; m += 1 }
-          i += 1
-        }
-        val sN = (0 until g.n).count(v => inS(v) && outd(v) > 0).toLong
-        val tN = (0 until g.n).count(v => inT(v) && ind(v) > 0).toLong
-        if (sN == 0 || tN == 0 || m == 0) live = false
-        else {
-          val d = DigraphOps.density(m, sN, tN)
-          if (d > best) { best = d; bestS = sN; bestT = tN }
-          if (sN.toDouble >= a * tN) {
-            val thr = (1.0 + eps) * m / sN
-            var removed = false
-            (0 until g.n).foreach { v =>
-              if (inS(v)) {
-                if (outd(v) == 0 || outd(v) <= thr) { inS(v) = false; removed = true }
-              }
-            }
-            if (!removed) live = false
-          } else {
-            val thr = (1.0 + eps) * m / tN
-            var removed = false
-            (0 until g.n).foreach { v =>
-              if (inT(v)) {
-                if (ind(v) == 0 || ind(v) <= thr) { inT(v) = false; removed = true }
-              }
-            }
-            if (!removed) live = false
-          }
-        }
+        val sN = cur.sSize.toLong
+        val tN = cur.tSize.toLong
+        val m = cur.m.toLong
+        val d = DigraphOps.density(m, sN, tN)
+        if (d > best) { best = d; bestS = sN; bestT = tN }
+        val sSide = sN.toDouble >= a * tN
+        val thr = (1.0 + eps) * m / (if (sSide) sN else tN)
+        val k = math.min(thr, m.toDouble).toInt + 1 // degrees ≤ thr go; none exceeds m
+        val next = if (sSide) LocalXYCore.peel(cur.g, k, 1) else LocalXYCore.peel(cur.g, 1, k)
+        live = next.nonEmpty && next.m < cur.m
+        cur = next
       }
       a *= gridFactor
     }
     ApproxResult("BSApprox*", best, bestS, bestT, (System.nanoTime() - t0) / 1000000L,
                  f"local eps=$eps%.1f")
+  }
+
+  /** A grid that does not grow, or a threshold below the average degree
+    * (which can remove nothing, forever), would never finish.
+    */
+  private def requireParams(eps: Double, gridFactor: Double): Unit = {
+    require(eps >= 0, s"need eps >= 0, got $eps")
+    require(gridFactor > 1, s"need gridFactor > 1, got $gridFactor")
   }
 }

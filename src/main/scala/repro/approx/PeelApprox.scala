@@ -1,5 +1,7 @@
 package repro.approx
 
+import scala.collection.mutable.PriorityQueue
+import repro.core.{CoreSub, PeelState}
 import repro.graph.{DigraphOps, LocalDigraph}
 
 /** KS/Charikar-style sequential peeling approximation (baseline).
@@ -7,26 +9,26 @@ import repro.graph.{DigraphOps, LocalDigraph}
   * For each ratio a on a (1+ε) geometric grid over [1/|T₀|, |S₀|]: start
   * from S = all sources, T = all destinations; repeatedly delete the
   * minimum-out-degree vertex of S when |S| ≥ a·|T|, else the minimum-
-  * in-degree vertex of T; track the best true density ρ(S,T) seen. This is
-  * the standard fixed-ratio peeling family (2-approx per exact ratio,
-  * 2(1+ε)-style over the grid); it is sequential by nature, so it runs on
-  * the driver — exactly the kind of baseline the paper's core-based
-  * algorithms outperform.
+  * in-degree vertex of T (the lowest index among ties); track the best true
+  * density ρ(S,T) seen. This is the standard fixed-ratio peeling family
+  * (2-approx per exact ratio, 2(1+ε)-style over the grid); it is sequential
+  * by nature, so it runs on the driver — exactly the kind of baseline the
+  * paper's core-based algorithms outperform.
   */
 object PeelApprox {
 
   def run(g: LocalDigraph, eps: Double = 0.5): ApproxResult = {
+    require(eps > 0, s"need eps > 0 (the ratio grid must grow), got $eps")
     val t0 = System.nanoTime()
     if (g.m == 0) {
       return ApproxResult("PeelApprox", 0.0, 0, 0, (System.nanoTime() - t0) / 1000000L, "empty")
     }
-    val nS = (0 until g.n).count(g.outDeg(_) > 0)
-    val nT = (0 until g.n).count(g.inDeg(_) > 0)
+    val full = CoreSub(g)
     var best = 0.0
     var bestS = 0L
     var bestT = 0L
-    var a = 1.0 / nT
-    val hi = nS.toDouble
+    var a = 1.0 / full.tSize
+    val hi = full.sSize.toDouble
     while (a <= hi * (1 + eps)) {
       val (d, s, t) = peelAtRatio(g, a)
       if (d > best) { best = d; bestS = s; bestT = t }
@@ -38,79 +40,34 @@ object PeelApprox {
 
   /** One fixed-ratio peel; returns (best density, |S|, |T| at the best step). */
   private[approx] def peelAtRatio(g: LocalDigraph, a: Double): (Double, Long, Long) = {
-    val n = g.n
-    val inS = new Array[Boolean](n)
-    val inT = new Array[Boolean](n)
-    val outd = new Array[Int](n)
-    val ind = new Array[Int](n)
-    var sCount = 0
-    var tCount = 0
-    var m = 0L
-    var i = 0
-    while (i < n) {
-      outd(i) = g.outDeg(i); ind(i) = g.inDeg(i)
-      if (outd(i) > 0) { inS(i) = true; sCount += 1 }
-      if (ind(i) > 0) { inT(i) = true; tCount += 1 }
-      i += 1
+    val st = new PeelState(g)
+    // lazy min-heaps of (degree << 32 | vertex): the minimum degree, then the
+    // lowest index; an entry is stale once its vertex left or its degree fell
+    val sHeap = PriorityQueue.empty[Long](Ordering.Long.reverse)
+    val tHeap = PriorityQueue.empty[Long](Ordering.Long.reverse)
+    def key(deg: Int, v: Int): Long = (deg.toLong << 32) | v
+    val pushS: Int => Unit = u => sHeap.enqueue(key(st.outDeg(u), u))
+    val pushT: Int => Unit = v => tHeap.enqueue(key(st.inDeg(v), v))
+    for (v <- 0 until g.n) {
+      if (st.inS(v)) pushS(v)
+      if (st.inT(v)) pushT(v)
     }
-    m = g.m.toLong
-    // lazy min-heaps keyed by (degree, vertex)
-    val ord = Ordering.by[(Int, Int), Int](_._1).reverse // min-heap via reverse
-    val sHeap = scala.collection.mutable.PriorityQueue.empty[(Int, Int)](ord)
-    val tHeap = scala.collection.mutable.PriorityQueue.empty[(Int, Int)](ord)
-    i = 0
-    while (i < n) {
-      if (inS(i)) sHeap.enqueue((outd(i), i))
-      if (inT(i)) tHeap.enqueue((ind(i), i))
-      i += 1
+    def popMin(heap: PriorityQueue[Long], alive: Array[Boolean], deg: Array[Int]): Int = {
+      var k = heap.dequeue()
+      while (!alive(k.toInt) || deg(k.toInt) != (k >>> 32).toInt) k = heap.dequeue()
+      k.toInt
     }
     var best = 0.0
     var bestS = 0L
     var bestT = 0L
     def record(): Unit = {
-      val d = DigraphOps.density(m, sCount.toLong, tCount.toLong)
-      if (d > best) { best = d; bestS = sCount.toLong; bestT = tCount.toLong }
+      val d = DigraphOps.density(st.m, st.sSize.toLong, st.tSize.toLong)
+      if (d > best) { best = d; bestS = st.sSize.toLong; bestT = st.tSize.toLong }
     }
     record()
-    while (sCount > 0 && tCount > 0 && m > 0) {
-      if (sCount.toDouble >= a * tCount) {
-        // pop a valid min-out-degree S vertex (lazy deletion)
-        var u = -1
-        while (u == -1 && sHeap.nonEmpty) {
-          val (d0, v) = sHeap.dequeue()
-          if (inS(v) && outd(v) == d0) u = v
-        }
-        if (u == -1) return (best, bestS, bestT)
-        inS(u) = false; sCount -= 1
-        var e = g.outOff(u)
-        while (e < g.outOff(u + 1)) {
-          val v = g.outAdj(e)
-          if (inT(v)) {
-            m -= 1
-            ind(v) -= 1
-            tHeap.enqueue((ind(v), v))
-          }
-          e += 1
-        }
-      } else {
-        var v = -1
-        while (v == -1 && tHeap.nonEmpty) {
-          val (d0, w) = tHeap.dequeue()
-          if (inT(w) && ind(w) == d0) v = w
-        }
-        if (v == -1) return (best, bestS, bestT)
-        inT(v) = false; tCount -= 1
-        var e = g.inOff(v)
-        while (e < g.inOff(v + 1)) {
-          val u = g.inAdj(e)
-          if (inS(u)) {
-            m -= 1
-            outd(u) -= 1
-            sHeap.enqueue((outd(u), u))
-          }
-          e += 1
-        }
-      }
+    while (st.sSize > 0 && st.tSize > 0 && st.m > 0) {
+      if (st.sSize.toDouble >= a * st.tSize) st.dropS(popMin(sHeap, st.inS, st.outDeg), pushT)
+      else st.dropT(popMin(tHeap, st.inT, st.inDeg), pushS)
       record()
     }
     (best, bestS, bestT)

@@ -45,7 +45,8 @@ final class LocalDigraph(val n: Int,
 
   private def marks(ends: Array[Int]): Array[Boolean] = {
     val b = new Array[Boolean](n)
-    ends.foreach(b(_) = true)
+    var i = 0
+    while (i < ends.length) { b(ends(i)) = true; i += 1 }
     b
   }
 
@@ -71,32 +72,29 @@ final class LocalDigraph(val n: Int,
   def restrict(inS: Array[Boolean], inT: Array[Boolean]): LocalDigraph = {
     val keep = new Array[Boolean](m)
     val index = new Array[Int](n) // new index + 1; 0 = dropped
-    for (i <- 0 until m if inS(src(i)) && inT(dst(i))) {
-      keep(i) = true; index(src(i)) = 1; index(dst(i)) = 1
+    var m2 = 0
+    var i = 0
+    while (i < m) {
+      if (inS(src(i)) && inT(dst(i))) { keep(i) = true; index(src(i)) = 1; index(dst(i)) = 1; m2 += 1 }
+      i += 1
     }
     var n2 = 0
-    for (v <- 0 until n if index(v) != 0) { n2 += 1; index(v) = n2 }
-    val m2 = keep.count(identity)
+    var v = 0
+    while (v < n) { if (index(v) != 0) { n2 += 1; index(v) = n2 }; v += 1 }
     if (m2 == m && n2 == n) return this
     val ids2 = new Array[Long](n2)
-    for (v <- 0 until n if index(v) != 0) ids2(index(v) - 1) = ids(v)
+    v = 0
+    while (v < n) { if (index(v) != 0) ids2(index(v) - 1) = ids(v); v += 1 }
     val src2 = new Array[Int](m2)
     val dst2 = new Array[Int](m2)
     var k = 0
-    for (i <- 0 until m if keep(i)) { src2(k) = index(src(i)) - 1; dst2(k) = index(dst(i)) - 1; k += 1 }
+    i = 0
+    while (i < m) {
+      if (keep(i)) { src2(k) = index(src(i)) - 1; dst2(k) = index(dst(i)) - 1; k += 1 }
+      i += 1
+    }
     new LocalDigraph(n2, src2, dst2, ids2)
   }
-
-  /** |E(S,T)| for original-id sets. */
-  def edgesBetweenIds(s: Set[Long], t: Set[Long]): Long = {
-    var c = 0L
-    var i = 0
-    while (i < m) { if (s.contains(ids(src(i))) && t.contains(ids(dst(i)))) c += 1; i += 1 }
-    c
-  }
-
-  def edgePairs: Seq[(Long, Long)] =
-    (0 until m).map(i => (ids(src(i)), ids(dst(i))))
 }
 
 object LocalDigraph {

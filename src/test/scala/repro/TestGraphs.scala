@@ -22,6 +22,10 @@ object TestGraphs {
   def randomLocal(n: Int, m: Int, seed: Long): LocalDigraph =
     LocalDigraph.fromPairs(randomPairs(n, m, seed))
 
+  /** The edges of ``g`` as original-id pairs, in its edge order. */
+  def edgePairs(g: LocalDigraph): Seq[(Long, Long)] =
+    (0 until g.m).map(i => (g.ids(g.src(i)), g.ids(g.dst(i))))
+
   def df(spark: SparkSession, pairs: Seq[(Long, Long)]): DataFrame =
     DigraphOps.edgesDf(spark, pairs)
 

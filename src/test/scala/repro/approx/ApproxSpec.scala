@@ -2,8 +2,8 @@ package repro.approx
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.core.{LocalCoreEngine, SparkCoreEngine}
-import repro.graph.LocalDigraph
+import repro.core.{LocalCoreEngine, LocalXYCore, SparkCoreEngine}
+import repro.graph.{DigraphOps, LocalDigraph}
 import repro.ref.BruteForce
 
 /** Approximation algorithms: guarantees vs brute force, Spark/local parity. */
@@ -74,6 +74,44 @@ class ApproxSpec extends AnyFunSuite {
     assert(PeelApprox.run(local(Seq.empty)).density === 0.0)
   }
 
+  /** peelAtRatio by its definition: each step removes the lowest-index
+    * vertex of minimum degree (recounted from the edge list) from the side
+    * the ratio picks; returns the best (density, |S|, |T|) seen.
+    */
+  private def naivePeelAtRatio(g: LocalDigraph, a: Double): (Double, Long, Long) = {
+    val edges = TestGraphs.edgePairs(g) // ids ascend with indices
+    var s = edges.map(_._1).toSet
+    var t = edges.map(_._2).toSet
+    def live = edges.filter { case (u, v) => s(u) && t(v) }
+    var best = (0.0, 0L, 0L)
+    def record(): Unit = {
+      val d = DigraphOps.density(live.size.toLong, s.size.toLong, t.size.toLong)
+      if (d > best._1) best = (d, s.size.toLong, t.size.toLong)
+    }
+    record()
+    while (s.nonEmpty && t.nonEmpty && live.nonEmpty) {
+      val e = live
+      if (s.size.toDouble >= a * t.size) s -= s.minBy(u => (e.count(_._1 == u), u))
+      else t -= t.minBy(v => (e.count(_._2 == v), v))
+      record()
+    }
+    best
+  }
+
+  for (seed <- 1 to 8) {
+    test(s"peelAtRatio equals the naive lowest-index min-degree peel (seed=$seed)") {
+      val g = TestGraphs.randomLocal(12, 20 + 4 * seed, 500 + seed)
+      for (a <- Seq(0.2, 0.5, 1.0, 1.7, 4.0))
+        assert(PeelApprox.peelAtRatio(g, a) === naivePeelAtRatio(g, a), s"a=$a")
+    }
+  }
+
+  test("PeelApprox rejects eps <= 0 (its ratio grid would not grow)") {
+    val g = local(Seq((1L, 2L), (2L, 3L)))
+    for (eps <- Seq(0.0, -0.5, Double.NaN))
+      intercept[IllegalArgumentException](PeelApprox.run(g, eps = eps))
+  }
+
   // ---- BSApprox ----
   test("BSApprox local on star k=9") {
     val r = BSApprox.runLocal(local((1 to 9).map(i => (0L, i.toLong))))
@@ -98,10 +136,41 @@ class ApproxSpec extends AnyFunSuite {
       val spark = repro.SparkSpec.shared
       val pairs = TestGraphs.skewedPairs(40, 180, 400 + seed)
       val df = TestGraphs.df(spark, pairs)
-      val s = BSApprox.run(df, eps = 1.0, gridFactor = 2.0)
-      val l = BSApprox.runLocal(local(pairs), eps = 1.0, gridFactor = 2.0)
-      assert(math.abs(s.density - l.density) < 1e-9,
-        s"spark=${s.density} local=${l.density}")
+      for ((eps, gridFactor) <- Seq((1.0, 2.0), (0.5, 3.0))) {
+        val s = BSApprox.run(df, eps = eps, gridFactor = gridFactor)
+        val l = BSApprox.runLocal(local(pairs), eps = eps, gridFactor = gridFactor)
+        assert(math.abs(s.density - l.density) < 1e-9,
+          s"eps=$eps grid=$gridFactor spark=${s.density} local=${l.density}")
+        assert((s.sSize, s.tSize) === ((l.sSize, l.tSize)), s"eps=$eps grid=$gridFactor")
+      }
+    }
+  }
+
+  /** Runs ``body`` in a job group and returns how many Spark jobs it started. */
+  private def sparkJobs(body: => Unit): Int = {
+    val sc = repro.SparkSpec.shared.sparkContext
+    sc.setJobGroup("approx-spec-rejects", "parameter checks")
+    try body finally sc.clearJobGroup()
+    sc.statusTracker.getJobIdsForGroup("approx-spec-rejects").length
+  }
+
+  test("BSApprox rejects gridFactor <= 1 (its ratio grid would not grow)") {
+    val pairs = Seq((1L, 2L), (2L, 3L), (1L, 3L))
+    val df = TestGraphs.df(repro.SparkSpec.shared, pairs)
+    for (gridFactor <- Seq(1.0, 0.5, Double.NaN)) {
+      intercept[IllegalArgumentException](BSApprox.runLocal(local(pairs), gridFactor = gridFactor))
+      val jobs = sparkJobs(intercept[IllegalArgumentException](BSApprox.run(df, gridFactor = gridFactor)))
+      assert(jobs === 0)
+    }
+  }
+
+  test("BSApprox rejects eps < 0 (a round could remove nothing, forever)") {
+    val pairs = Seq((1L, 2L), (2L, 3L), (1L, 3L))
+    val df = TestGraphs.df(repro.SparkSpec.shared, pairs)
+    for (eps <- Seq(-0.5, Double.NaN)) {
+      intercept[IllegalArgumentException](BSApprox.runLocal(local(pairs), eps = eps))
+      val jobs = sparkJobs(intercept[IllegalArgumentException](BSApprox.run(df, eps = eps)))
+      assert(jobs === 0)
     }
   }
 
@@ -116,6 +185,54 @@ class ApproxSpec extends AnyFunSuite {
     val pairs = TestGraphs.skewedPairs(50, 300, seed = 9)
     val r = BSApprox.run(TestGraphs.df(spark, pairs), wallBudgetMs = 0)
     assert(r.note.contains("budget hit"))
+  }
+
+  // ---- adversarial inputs through every peeler ----
+  private val star9 = (1 to 9).map(i => (0L, i.toLong))
+  private val adversarial: Seq[(String, Seq[(Long, Long)], Option[Double])] = Seq(
+    ("empty graph", Seq.empty, Some(0.0)),
+    ("one-sided star k=9", star9, Some(3.0)),
+    ("reversed star k=16", (1 to 16).map(i => (i.toLong, 0L)), Some(4.0)),
+    ("star k=25 at ids near Long.MaxValue", (1 to 25).map(i => (Long.MaxValue, Long.MaxValue - i)),
+     Some(5.0)),
+    ("random graph at ids near Long.MaxValue",
+     TestGraphs.randomPairs(12, 40, seed = 31).map { case (u, v) => (Long.MaxValue - u, Long.MaxValue - v) },
+     None),
+    ("star k=9 with every edge 7 times and self-loops",
+     Seq.fill(7)(star9).flatten ++ Seq((0L, 0L), (3L, 3L), (3L, 3L)), Some(3.0)),
+    ("random graph with duplicates and self-loops",
+     TestGraphs.randomPairs(10, 30, seed = 32).flatMap(p => Seq.fill(1 + (p._1 % 4).toInt)(p)) ++
+       (1 to 10).map(i => (i.toLong, i.toLong)),
+     None))
+
+  for ((name, pairs, rho) <- adversarial) {
+    test(s"adversarial input through every peeler: $name") {
+      val spark = repro.SparkSpec.shared
+      val g = local(pairs)
+      val df = TestGraphs.df(spark, pairs)
+      val core11 = LocalXYCore.peel(g, 1, 1).candidate
+      val peel = PeelApprox.run(g)
+      val bsLocal = BSApprox.runLocal(g)
+      val bsSpark = BSApprox.run(df)
+      assert(bsSpark.density === bsLocal.density)
+      assert((bsSpark.sSize, bsSpark.tSize) === ((bsLocal.sSize, bsLocal.tSize)))
+      val ca = CoreApprox.run(new LocalCoreEngine(g))
+      for ((engine, cutoff) <- Seq(("Spark, cutoff 0", Some(0L)), ("Spark, default cutoff", None))) {
+        val e = cutoff.fold(new SparkCoreEngine(df))(new SparkCoreEngine(df, _))
+        val sa = try CoreApprox.run(e) finally e.release()
+        assert((sa.x, sa.y) === ((ca.x, ca.y)), engine)
+        assert(sa.candidate.s.toSeq === ca.candidate.s.toSeq, engine)
+        assert(sa.candidate.t.toSeq === ca.candidate.t.toSeq, engine)
+        assert(sa.result.density === ca.result.density, engine)
+      }
+      assert(core11.isEmpty === (g.m == 0))
+      assert(core11.m === g.m.toLong)
+      for (expected <- rho) {
+        val found = Seq("LocalXYCore [1,1]" -> core11.density, "PeelApprox" -> peel.density,
+          "BSApprox local" -> bsLocal.density, "CoreApprox" -> ca.result.density)
+        for ((algo, d) <- found) assert(math.abs(d - expected) < 1e-9, s"$algo: $d vs $expected")
+      }
+    }
   }
 
   // ---- cross-algorithm comparison on a planted instance ----

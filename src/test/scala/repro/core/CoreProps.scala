@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
+import repro.TestGraphs
 import repro.exact.RatioUtils
 import repro.graph.{DigraphOps, LocalDigraph}
 
@@ -35,7 +36,7 @@ object CoreProps extends Properties("core") {
     val c = LocalXYCore.peel(g, x, y)
     c.isEmpty || {
       val cand = c.candidate
-      val edges = c.g.edgePairs
+      val edges = TestGraphs.edgePairs(c.g)
       val tSet = cand.t.toSet
       val sSet = cand.s.toSet
       cand.s.forall(u => edges.count(e => e._1 == u && tSet.contains(e._2)) >= x) &&
@@ -58,8 +59,9 @@ object CoreProps extends Properties("core") {
   property("candidate density consistent with edge recount") = Prop.forAll(genGraph) { g =>
     val c = LocalXYCore.peel(g, 1, 1)
     c.isEmpty || {
-      val recount = g.edgesBetweenIds(c.candidate.s.toSet, c.candidate.t.toSet)
-      recount == c.m.toLong
+      val (s, t) = (c.candidate.s.toSet, c.candidate.t.toSet)
+      val recount = TestGraphs.edgePairs(g).count { case (u, v) => s(u) && t(v) }
+      recount == c.m
     }
   }
 }

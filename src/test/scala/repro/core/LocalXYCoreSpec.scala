@@ -11,7 +11,7 @@ class LocalXYCoreSpec extends AnyFunSuite {
   private def checkConstraints(sub: CoreSub, x: Int, y: Int): Unit = {
     if (sub.nonEmpty) {
       val c = sub.candidate
-      val edges = sub.g.edgePairs
+      val edges = TestGraphs.edgePairs(sub.g)
       val sSet = c.s.toSet
       val tSet = c.t.toSet
       for (u <- c.s) {
@@ -31,8 +31,8 @@ class LocalXYCoreSpec extends AnyFunSuite {
     var t = g.ids.toSet
     var changed = true
     while (changed) {
-      val s2 = s.filter(u => g.edgePairs.count(e => e._1 == u && t.contains(e._2)) >= x)
-      val t2 = t.filter(v => g.edgePairs.count(e => e._2 == v && s2.contains(e._1)) >= y)
+      val s2 = s.filter(u => TestGraphs.edgePairs(g).count(e => e._1 == u && t.contains(e._2)) >= x)
+      val t2 = t.filter(v => TestGraphs.edgePairs(g).count(e => e._2 == v && s2.contains(e._1)) >= y)
       changed = s2 != s || t2 != t
       s = s2; t = t2
     }

@@ -100,7 +100,8 @@ class XYCoreSparkSpec extends SparkSpec {
     val warm = warmSub.candidate
     assert(warm.s.toSeq === cold.s.toSeq && warm.t.toSeq === cold.t.toSeq && warm.m === cold.m)
     // the driver finish keeps the core's edges
-    assert(warmSub.g.edgePairs.toSet === XYCore.collectSub(base, cold).g.edgePairs.toSet)
+    assert(TestGraphs.edgePairs(warmSub.g).toSet ===
+      TestGraphs.edgePairs(XYCore.collectSub(base, cold).g).toSet)
     base.unpersist()
   }
 
@@ -183,7 +184,7 @@ class XYCoreSparkSpec extends SparkSpec {
     val lc = LocalXYCore.peel(LocalDigraph.fromPairs(pairs), 2, 1)
     assert(sub.candidate.s.toSeq === lc.candidate.s.toSeq)
     assert(sub.candidate.t.toSeq === lc.candidate.t.toSeq)
-    assert(sub.g.edgePairs.toSet === lc.g.edgePairs.toSet)
+    assert(TestGraphs.edgePairs(sub.g).toSet === TestGraphs.edgePairs(lc.g).toSet)
     base.unpersist()
   }
 
@@ -209,7 +210,8 @@ class XYCoreSparkSpec extends SparkSpec {
             for (sh <- s) {
               assert(sh.candidate().s.toSeq === cold.candidate.s.toSeq, s"$name [$x,$y] S")
               assert(sh.candidate().t.toSeq === cold.candidate.t.toSeq, s"$name [$x,$y] T")
-              assert(sh.sub().g.edgePairs.toSet === cold.g.edgePairs.toSet, s"$name [$x,$y] edges")
+              assert(TestGraphs.edgePairs(sh.sub().g).toSet === TestGraphs.edgePairs(cold.g).toSet,
+                s"$name [$x,$y] edges")
             }
             if (s.nonEmpty) warm = s
             if (y == 1 && s.nonEmpty) rowWarm = s

@@ -15,7 +15,7 @@ class LocalDigraphSpec extends AnyFunSuite {
   test("ids map back to original vertex ids (sorted)") {
     val g = LocalDigraph.fromPairs(Seq((10L, 5L), (5L, 42L)))
     assert(g.ids.toSeq === Seq(5L, 10L, 42L))
-    assert(g.edgePairs.toSet === Set((10L, 5L), (5L, 42L)))
+    assert(TestGraphs.edgePairs(g).toSet === Set((10L, 5L), (5L, 42L)))
   }
 
   test("degrees match a naive recount") {
@@ -33,11 +33,11 @@ class LocalDigraphSpec extends AnyFunSuite {
     val fromCsr = (0 until g.n).flatMap { u =>
       (g.outOff(u) until g.outOff(u + 1)).map(e => (g.ids(u), g.ids(g.outAdj(e))))
     }.toSet
-    assert(fromCsr === g.edgePairs.toSet)
+    assert(fromCsr === TestGraphs.edgePairs(g).toSet)
     val fromCsrIn = (0 until g.n).flatMap { v =>
       (g.inOff(v) until g.inOff(v + 1)).map(e => (g.ids(g.inAdj(e)), g.ids(v)))
     }.toSet
-    assert(fromCsrIn === g.edgePairs.toSet)
+    assert(fromCsrIn === TestGraphs.edgePairs(g).toSet)
   }
 
   test("edgesBetween with full masks counts all edges") {
@@ -52,25 +52,26 @@ class LocalDigraphSpec extends AnyFunSuite {
     for (_ <- 1 to 10) {
       val inS = Array.fill(g.n)(rnd.nextBoolean())
       val inT = Array.fill(g.n)(rnd.nextBoolean())
-      val naive = g.edgePairs.count { case (u, v) =>
+      val naive = TestGraphs.edgePairs(g).count { case (u, v) =>
         inS(g.ids.indexOf(u)) && inT(g.ids.indexOf(v))
       }
       assert(g.edgesBetween(inS, inT) === naive.toLong)
     }
   }
 
-  test("edgesBetweenIds matches mask-based counting") {
+  test("edgesBetween matches counting over id sets") {
     val g = TestGraphs.randomLocal(12, 40, seed = 6)
     val s = g.ids.take(5).toSet
     val t = g.ids.drop(4).toSet
     val inS = g.ids.map(s.contains)
     val inT = g.ids.map(t.contains)
-    assert(g.edgesBetweenIds(s, t) === g.edgesBetween(inS, inT))
+    val byIds = TestGraphs.edgePairs(g).count { case (u, v) => s(u) && t(v) }
+    assert(byIds.toLong === g.edgesBetween(inS, inT))
   }
 
   test("empty graph") {
     val g = LocalDigraph.fromPairs(Seq.empty)
-    assert(g.n === 0 && g.m === 0 && g.edgePairs.isEmpty)
+    assert(g.n === 0 && g.m === 0 && TestGraphs.edgePairs(g).isEmpty)
   }
 
   test("single self-loop-only input yields empty graph") {
@@ -82,6 +83,6 @@ class LocalDigraphSpec extends AnyFunSuite {
     val spark = repro.SparkSpec.shared
     val pairs = TestGraphs.randomPairs(10, 25, seed = 7)
     val g = LocalDigraph.fromEdges(TestGraphs.df(spark, pairs))
-    assert(g.edgePairs.toSet === pairs.toSet)
+    assert(TestGraphs.edgePairs(g).toSet === pairs.toSet)
   }
 }
