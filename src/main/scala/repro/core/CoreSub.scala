@@ -11,8 +11,8 @@ import repro.graph.{DigraphOps, LocalDigraph}
   * in-edge. Original ids are read back only by [[candidate]].
   */
 final case class CoreSub(g: LocalDigraph) {
-  lazy val sSize: Int = g.hasOut.count(identity)
-  lazy val tSize: Int = g.hasIn.count(identity)
+  lazy val sSize: Int = CoreSub.count(g.hasOut)
+  lazy val tSize: Int = CoreSub.count(g.hasIn)
   def m: Int            = g.m
   def isEmpty: Boolean  = m == 0
   def nonEmpty: Boolean = !isEmpty
@@ -22,6 +22,13 @@ final case class CoreSub(g: LocalDigraph) {
 
 object CoreSub {
   val empty: CoreSub = CoreSub(LocalDigraph.fromPairs(Nil))
+
+  private def count(mask: Array[Boolean]): Int = {
+    var c = 0
+    var i = 0
+    while (i < mask.length) { if (mask(i)) c += 1; i += 1 }
+    c
+  }
 }
 
 /** A candidate (S,T) answer with its exact edge count — the unit tracked by

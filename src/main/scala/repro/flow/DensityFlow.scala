@@ -4,12 +4,14 @@ import repro.core.{Candidate, CoreSub}
 
 /** The fixed-ratio density decision network.
   *
-  * For a guess density g and ratio a, a pair (S,T) with
-  *   E(S,T) − (g/2)·(|S|/√a + √a·|T|) > 0
-  * exists iff the min s-t cut of the following project-selection network is
-  * strictly below m: one "profit" node per edge (s→e, cap 1), prerequisite
-  * arcs e→u₁ and e→v₂ (cap ∞), and "cost" arcs u₁→t (cap g/(2√a)) and
-  * v₂→t (cap g·√a/2). The min-cut source side is the objective's argmax.
+  * For a guess density g and ratio a, let c_S = g/(2√a) and c_T = g·√a/2.
+  * A pair (S,T) with E(S,T) − c_S|S| − c_T|T| > 0 exists iff the min s-t cut
+  * of the following vertex-only network (Goldberg 1984; Khuller–Saha 2009)
+  * is strictly below m: one node α_u per u∈S and β_v per v∈T, arcs s→α_u
+  * (cap d⁺(u)), α_u→t (cap c_S), α_u→β_v per edge (cap 1) and β_v→t
+  * (cap c_T). A source side {α_u : u∈S'} ∪ {β_v : v∈T'} cuts
+  * m − (E(S',T') − c_S|S'| − c_T|T'|), so the min-cut source side is the
+  * objective's argmax.
   *
   * Extraction is self-verifying: the returned candidate's surrogate is
   * recomputed exactly from integer edge counts, so floating-point slop in
@@ -17,8 +19,12 @@ import repro.core.{Candidate, CoreSub}
   */
 object DensityFlow {
 
+  // node layout: source, sink, then α_u = 2 + sIdx(u), β_v = 2 + |S| + tIdx(v)
+  private val Source = 0
+  private val Sink   = 1
+
   /** Size (node count) of the network that ``bestAbove`` would build. */
-  def networkNodes(sub: CoreSub): Int = 2 + sub.sSize + sub.tSize + sub.m
+  def networkNodes(sub: CoreSub): Int = 2 + sub.sSize + sub.tSize
 
   /** Return the argmax of E − (g/2)(|S|/√a + √a|T|) over ``sub`` if its
     * surrogate strictly exceeds ``g``; None otherwise.
@@ -28,53 +34,74 @@ object DensityFlow {
     val d = sub.g
     val sIdx = number(d.hasOut)
     val tIdx = number(d.hasIn)
-    val ns = sub.sSize
-    val nt = sub.tSize
-    val m  = sub.m
-
-    // node layout: 0 = source, 1 = sink, 2..2+ns-1 = S-copies,
-    // 2+ns..2+ns+nt-1 = T-copies, 2+ns+nt.. = edge nodes.
-    val S = 0
-    val T = 1
-    def sNode(i: Int) = 2 + i
-    def tNode(j: Int) = 2 + ns + j
-    def eNode(k: Int) = 2 + ns + nt + k
-
-    val inf   = 4.0 * m + 16.0
-    val sCost = g / (2.0 * math.sqrt(a))
-    val tCost = g * math.sqrt(a) / 2.0
-
-    val dinic = new Dinic(2 + ns + nt + m)
-    var i = 0
-    while (i < ns) { dinic.addEdge(sNode(i), T, sCost); i += 1 }
-    var j = 0
-    while (j < nt) { dinic.addEdge(tNode(j), T, tCost); j += 1 }
-    var k = 0
-    while (k < m) {
-      dinic.addEdge(S, eNode(k), 1.0)
-      dinic.addEdge(eNode(k), sNode(sIdx(d.src(k))), inf)
-      dinic.addEdge(eNode(k), tNode(tIdx(d.dst(k))), inf)
-      k += 1
-    }
-
-    val flow = dinic.maxflow(S, T)
+    val m = sub.m
+    val dinic = network(sub, sIdx, tIdx, g, a)
+    val flow = dinic.maxflow(Source, Sink)
     if (flow >= m - 1e-9 * (m + 1.0)) return None // min-cut == m: nothing above g
-    val side = dinic.minCutSourceSide(S)
+    val side = dinic.minCutSourceSide(Source)
 
-    val inS = Array.tabulate(d.n)(v => sIdx(v) >= 0 && side(sNode(sIdx(v))))
-    val inT = Array.tabulate(d.n)(v => tIdx(v) >= 0 && side(tNode(tIdx(v))))
-    if (!inS.contains(true) || !inT.contains(true)) return None
+    val tBase = 2 + sub.sSize
+    val inS = new Array[Boolean](d.n)
+    val inT = new Array[Boolean](d.n)
+    var anyS = false
+    var anyT = false
+    var v = 0
+    while (v < d.n) {
+      if (sIdx(v) >= 0 && side(2 + sIdx(v))) { inS(v) = true; anyS = true }
+      if (tIdx(v) >= 0 && side(tBase + tIdx(v))) { inT(v) = true; anyT = true }
+      v += 1
+    }
+    if (!anyS || !anyT) return None
 
     // Exact integer edge count between the selected sides.
     val cand = Candidate(d.idsOf(inS), d.idsOf(inT), d.edgesBetween(inS, inT))
     if (cand.surrogate(a) > g * (1 + 1e-12) + 1e-12) Some(cand) else None
   }
 
+  /** Max-flow value of the (g, a) network over ``sub``: m minus the
+    * objective's maximum.
+    */
+  private[flow] def maxflow(sub: CoreSub, g: Double, a: Double): Double =
+    if (sub.isEmpty) 0.0
+    else network(sub, number(sub.g.hasOut), number(sub.g.hasIn), g, a).maxflow(Source, Sink)
+
+  /** The vertex-only network for (g, a) over ``sub``, with S and T numbered
+    * by ``sIdx`` and ``tIdx``: 2+|S|+|T| nodes, m+2|S|+|T| arcs.
+    */
+  private def network(sub: CoreSub, sIdx: Array[Int], tIdx: Array[Int], g: Double, a: Double): Dinic = {
+    val d = sub.g
+    val ns = sub.sSize
+    val tBase = 2 + ns
+    val sCost = g / (2.0 * math.sqrt(a))
+    val tCost = g * math.sqrt(a) / 2.0
+
+    val outDeg = new Array[Int](ns)
+    var k = 0
+    while (k < d.m) { outDeg(sIdx(d.src(k))) += 1; k += 1 }
+
+    val dinic = new Dinic(tBase + sub.tSize)
+    var i = 0
+    while (i < ns) {
+      dinic.addEdge(Source, 2 + i, outDeg(i).toDouble)
+      dinic.addEdge(2 + i, Sink, sCost)
+      i += 1
+    }
+    var j = 0
+    while (j < sub.tSize) { dinic.addEdge(tBase + j, Sink, tCost); j += 1 }
+    k = 0
+    while (k < d.m) { dinic.addEdge(2 + sIdx(d.src(k)), tBase + tIdx(d.dst(k)), 1.0); k += 1 }
+    dinic
+  }
+
   /** Numbers the masked vertices 0, 1, ... in index order; -1 for the rest. */
   private def number(mask: Array[Boolean]): Array[Int] = {
-    val idx = Array.fill(mask.length)(-1)
+    val idx = new Array[Int](mask.length)
     var next = 0
-    for (v <- mask.indices if mask(v)) { idx(v) = next; next += 1 }
+    var v = 0
+    while (v < mask.length) {
+      if (mask(v)) { idx(v) = next; next += 1 } else idx(v) = -1
+      v += 1
+    }
     idx
   }
 }

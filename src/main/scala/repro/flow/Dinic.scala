@@ -1,7 +1,5 @@
 package repro.flow
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Dinic max-flow over double capacities, with min-cut extraction.
   *
   * The exact DDS algorithm needs a min s-t cut per density probe; the
@@ -9,27 +7,37 @@ import scala.collection.mutable.ArrayBuffer
   * driver-local solver is the right substrate. Capacities are doubles
   * (the density thresholds g/(2√a) are irrational); residuals below
   * ``eps`` are treated as saturated.
+  *
+  * Arcs live in flat primitive arrays (head, residual capacity, next arc
+  * of the same tail) that double when full; ``maxflow`` works on them in
+  * place.
   */
 final class Dinic(val n: Int, val eps: Double = 1e-11) {
-  private val headAll = ArrayBuffer.empty[Int]   // edge -> head vertex
-  private val capAll  = ArrayBuffer.empty[Double]
-  private val nextOf  = ArrayBuffer.empty[Int]   // edge -> next edge of same tail
-  private val firstOf = Array.fill(n)(-1)        // vertex -> first edge
+  private var arcs = 0                             // arcs added, reverses included
+  private var head = new Array[Int](16)            // arc -> head vertex
+  private var cap  = new Array[Double](16)         // arc -> residual capacity
+  private var nxt  = new Array[Int](16)            // arc -> next arc of the same tail
+  private val firstOf = Array.fill(n)(-1)          // vertex -> first arc
+  private var solved = false
 
   /** Add a directed edge u→v with capacity c (reverse edge capacity 0).
     * Returns the forward edge index (even); reverse is index+1.
     */
   def addEdge(u: Int, v: Int, c: Double): Int = {
     require(c >= 0.0, s"negative capacity $c")
-    val id = headAll.length
-    headAll += v; capAll += c; nextOf += firstOf(u); firstOf(u) = id
-    headAll += u; capAll += 0.0; nextOf += firstOf(v); firstOf(v) = id + 1
+    if (arcs + 2 > head.length) {
+      val len = 2 * head.length
+      head = java.util.Arrays.copyOf(head, len)
+      cap = java.util.Arrays.copyOf(cap, len)
+      nxt = java.util.Arrays.copyOf(nxt, len)
+    }
+    val id = arcs
+    head(id) = v; cap(id) = c; nxt(id) = firstOf(u); firstOf(u) = id
+    head(id + 1) = u; cap(id + 1) = 0.0; nxt(id + 1) = firstOf(v); firstOf(v) = id + 1
+    arcs += 2
     id
   }
 
-  private var head: Array[Int] = _
-  private var cap: Array[Double] = _
-  private var nxt: Array[Int] = _
   private val level = new Array[Int](n)
   private val it    = new Array[Int](n)
   private val queue = new Array[Int](n)
@@ -94,9 +102,12 @@ final class Dinic(val n: Int, val eps: Double = 1e-11) {
     sys.error("unreachable")
   }
 
-  /** Compute the max flow from s to t. Call at most once. */
+  /** Compute the max flow from s to t. Call at most once: the flow is
+    * routed in place, so the arcs keep only their residual capacities.
+    */
   def maxflow(s: Int, t: Int): Double = {
-    head = headAll.toArray; cap = capAll.toArray; nxt = nextOf.toArray
+    require(!solved, "maxflow already called on this network")
+    solved = true
     var total = 0.0
     while (bfs(s, t)) {
       var u = 0

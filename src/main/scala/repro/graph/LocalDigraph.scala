@@ -52,9 +52,14 @@ final class LocalDigraph(val n: Int,
 
   /** Original ids of the masked vertices, ascending. */
   def idsOf(mask: Array[Boolean]): Array[Long] = {
-    val out = Array.newBuilder[Long]
-    for (v <- 0 until n if mask(v)) out += ids(v)
-    out.result()
+    var c = 0
+    var v = 0
+    while (v < n) { if (mask(v)) c += 1; v += 1 }
+    val out = new Array[Long](c)
+    c = 0
+    v = 0
+    while (v < n) { if (mask(v)) { out(c) = ids(v); c += 1 }; v += 1 }
+    out
   }
 
   /** |E(S,T)| for index-based membership masks. */

@@ -188,24 +188,7 @@ class ApproxSpec extends AnyFunSuite {
   }
 
   // ---- adversarial inputs through every peeler ----
-  private val star9 = (1 to 9).map(i => (0L, i.toLong))
-  private val adversarial: Seq[(String, Seq[(Long, Long)], Option[Double])] = Seq(
-    ("empty graph", Seq.empty, Some(0.0)),
-    ("one-sided star k=9", star9, Some(3.0)),
-    ("reversed star k=16", (1 to 16).map(i => (i.toLong, 0L)), Some(4.0)),
-    ("star k=25 at ids near Long.MaxValue", (1 to 25).map(i => (Long.MaxValue, Long.MaxValue - i)),
-     Some(5.0)),
-    ("random graph at ids near Long.MaxValue",
-     TestGraphs.randomPairs(12, 40, seed = 31).map { case (u, v) => (Long.MaxValue - u, Long.MaxValue - v) },
-     None),
-    ("star k=9 with every edge 7 times and self-loops",
-     Seq.fill(7)(star9).flatten ++ Seq((0L, 0L), (3L, 3L), (3L, 3L)), Some(3.0)),
-    ("random graph with duplicates and self-loops",
-     TestGraphs.randomPairs(10, 30, seed = 32).flatMap(p => Seq.fill(1 + (p._1 % 4).toInt)(p)) ++
-       (1 to 10).map(i => (i.toLong, i.toLong)),
-     None))
-
-  for ((name, pairs, rho) <- adversarial) {
+  for ((name, pairs, rho) <- TestGraphs.adversarial) {
     test(s"adversarial input through every peeler: $name") {
       val spark = repro.SparkSpec.shared
       val g = local(pairs)

@@ -164,6 +164,25 @@ class DDSExactSpec extends AnyFunSuite {
     }
   }
 
+  // ---- adversarial inputs through every engine ----
+  for ((name, pairs, rho) <- TestGraphs.adversarial; mode <- Seq(DDSExact.Mode.CoreExact, DDSExact.Mode.DC)) {
+    test(s"adversarial input through every engine: $mode, $name") {
+      val spark = repro.SparkSpec.shared
+      val g = LocalDigraph.fromPairs(pairs)
+      val df = TestGraphs.df(spark, pairs)
+      val ref = DDSExact.run(new LocalCoreEngine(g), DDSExact.Config(mode))
+      for ((engine, cutoff) <- Seq(("Spark, cutoff 0", Some(0L)), ("Spark, default cutoff", None))) {
+        val e = cutoff.fold(new SparkCoreEngine(df))(new SparkCoreEngine(df, _))
+        val r = try DDSExact.run(e, DDSExact.Config(mode)) finally e.release()
+        assert(r.density === ref.density, engine)
+        assert(r.best.s.toSeq === ref.best.s.toSeq, engine)
+        assert(r.best.t.toSeq === ref.best.t.toSeq, engine)
+      }
+      for (expected <- rho) assert(ref.density === expected)
+      if (g.n <= 16) assert(math.abs(ref.density - BruteForce.dds(g).density) < 1e-9)
+    }
+  }
+
   test("Spark engine on the toy graph matches brute force") {
     val spark = repro.SparkSpec.shared
     val toyDf = repro.SynthGraphs.toy(spark)

@@ -27,10 +27,37 @@ class DensityFlowSpec extends AnyFunSuite {
     assert(c.get.surrogate(1.0) > 0.0)
   }
 
-  test("networkNodes counts 2 + |S| + |T| + m") {
+  test("networkNodes counts 2 + |S| + |T|") {
     val g = TestGraphs.randomLocal(8, 14, seed = 4)
     val sub = CoreSub(g)
-    assert(DensityFlow.networkNodes(sub) === 2 + sub.sSize + sub.tSize + sub.m)
+    assert(DensityFlow.networkNodes(sub) === 2 + sub.sSize + sub.tSize)
+  }
+
+  /** max over all (S,T) of E(S,T) − c_S|S| − c_T|T| (0 at S = T = ∅), by enumeration. */
+  private def bruteObjectiveMax(g: LocalDigraph, cS: Double, cT: Double): Double = {
+    val outMask = new Array[Int](g.n)
+    for (i <- 0 until g.m) outMask(g.src(i)) |= 1 << g.dst(i)
+    var best = 0.0
+    for (s <- 0 until (1 << g.n); t <- 0 until (1 << g.n)) {
+      val e = (0 until g.n).filter(u => (s & (1 << u)) != 0).map(u => Integer.bitCount(outMask(u) & t)).sum
+      best = math.max(best, e - cS * Integer.bitCount(s) - cT * Integer.bitCount(t))
+    }
+    best
+  }
+
+  for (seed <- 1 to 10; a <- Seq(0.5, 1.0, 3.0)) {
+    test(s"m − maxflow equals the brute-force cut objective (seed=$seed a=$a)") {
+      val g = TestGraphs.randomLocal(6 + seed % 2, 5 + seed, 400 + seed)
+      val sub = CoreSub(g)
+      val opt = BruteForce.surrogateMax(g, a)
+      for (gv <- Seq(0.0, opt * 0.5, opt * 0.9, opt, opt * 1.5 + 1.0)) {
+        val cS = gv / (2.0 * math.sqrt(a))
+        val cT = gv * math.sqrt(a) / 2.0
+        val expected = bruteObjectiveMax(g, cS, cT)
+        val got = g.m - DensityFlow.maxflow(sub, gv, a)
+        assert(math.abs(got - expected) < 1e-9, s"g=$gv: m − flow = $got, objective max = $expected")
+      }
+    }
   }
 
   for (seed <- 1 to 12; a <- Seq(0.5, 1.0, 2.0)) {

@@ -66,6 +66,14 @@ class DinicSpec extends AnyFunSuite {
       assert((0 until k).forall(v => side(v) == (v <= mid)))
     }
 
+  test("a second maxflow call is rejected") {
+    val d = new Dinic(3)
+    d.addEdge(0, 1, 2.0)
+    d.addEdge(1, 2, 1.0)
+    assert(math.abs(d.maxflow(0, 2) - 1.0) < 1e-12)
+    intercept[IllegalArgumentException](d.maxflow(0, 2))
+  }
+
   test("anti-parallel edges") {
     val e = Seq((0, 1, 3.0), (1, 0, 2.0), (1, 2, 3.0))
     assert(math.abs(solve(3, e, 0, 2) - 3.0) < 1e-9)
