@@ -25,17 +25,15 @@ object SynthGraphs {
   /** Skewed digraph with zipf-like degrees: endpoint ranks are drawn
     * log-uniformly over [1, n] (P(rank = k) ∝ 1/k), giving the rank-1
     * hub an expected degree ≈ m/ln n and a power-law degree profile with
-    * exponent ≈ 2 — the regime of all the paper's real graphs. ``skew``
-    * shapes the tail (u^skew before exponentiation; >1 = milder hubs).
+    * exponent ≈ 2 — the regime of all the paper's real graphs.
     * Destination ranks are decorrelated from source ranks by an affine
     * permutation so in-hubs ≠ out-hubs.
     */
-  def powerLaw(spark: SparkSession, n: Long, m: Long, skew: Double = 1.0,
-               seed: Long = 11): DataFrame = {
+  def powerLaw(spark: SparkSession, n: Long, m: Long, seed: Long = 11): DataFrame = {
     val draws = (m * 1.25).toLong + 16
     def rank(seedCol: Long) =
       least(lit(n), greatest(lit(1L),
-        pow(lit(n.toDouble), pow(rand(seedCol), lit(skew))).cast("long")))
+        pow(lit(n.toDouble), rand(seedCol)).cast("long")))
     // decorrelate: permute destination ids with an affine map coprime to n
     val mul = LazyCoprime.coprimeNear(n, math.max(2L, n / 2))
     val raw = spark.range(draws).select(

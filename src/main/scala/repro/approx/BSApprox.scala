@@ -1,7 +1,7 @@
 package repro.approx
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{CoreSub, LocalXYCore, XYCore}
+import repro.core.{LocalXYCore, XYCore}
 import repro.graph.{DigraphOps, LocalDigraph}
 
 /** Bahmani-style batch-peeling approximation (the natural dataflow
@@ -91,13 +91,12 @@ object BSApprox {
     val t0 = System.nanoTime()
     if (g.m == 0)
       return ApproxResult("BSApprox*", 0.0, 0, 0, (System.nanoTime() - t0) / 1000000L, "empty")
-    val full = CoreSub(g)
     var best = 0.0
     var bestS = 0L
     var bestT = 0L
-    var a = 1.0 / full.tSize
-    while (a <= full.sSize * gridFactor) {
-      var cur = full
+    var a = 1.0 / g.tSize
+    while (a <= g.sSize * gridFactor) {
+      var cur = g
       var live = true
       while (live) {
         val sN = cur.sSize.toLong
@@ -108,7 +107,7 @@ object BSApprox {
         val sSide = sN.toDouble >= a * tN
         val thr = (1.0 + eps) * m / (if (sSide) sN else tN)
         val k = math.min(thr, m.toDouble).toInt + 1 // degrees ≤ thr go; none exceeds m
-        val next = if (sSide) LocalXYCore.peel(cur.g, k, 1) else LocalXYCore.peel(cur.g, 1, k)
+        val next = if (sSide) LocalXYCore.peel(cur, k, 1) else LocalXYCore.peel(cur, 1, k)
         live = next.nonEmpty && next.m < cur.m
         cur = next
       }

@@ -26,10 +26,9 @@ object CoreApprox {
     MaxCore.maxXY(engine) match {
       case None =>
         val ms = (System.nanoTime() - t0) / 1000000L
-        Detail(ApproxResult("CoreApprox", 0.0, 0, 0, ms, "empty graph"), 0, 0,
-               Candidate(Array.empty, Array.empty, 0L))
+        Detail(ApproxResult("CoreApprox", 0.0, 0, 0, ms, "empty graph"), 0, 0, Candidate.empty)
       case Some(mx) =>
-        val c  = mx.candidate
+        val c  = mx.candidate()
         val ms = (System.nanoTime() - t0) / 1000000L
         Detail(
           ApproxResult("CoreApprox", c.density, c.sSize.toLong, c.tSize.toLong, ms,

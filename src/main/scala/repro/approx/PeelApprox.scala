@@ -1,7 +1,7 @@
 package repro.approx
 
 import scala.collection.mutable.PriorityQueue
-import repro.core.{CoreSub, PeelState}
+import repro.core.PeelState
 import repro.graph.{DigraphOps, LocalDigraph}
 
 /** KS/Charikar-style sequential peeling approximation (baseline).
@@ -23,12 +23,11 @@ object PeelApprox {
     if (g.m == 0) {
       return ApproxResult("PeelApprox", 0.0, 0, 0, (System.nanoTime() - t0) / 1000000L, "empty")
     }
-    val full = CoreSub(g)
     var best = 0.0
     var bestS = 0L
     var bestT = 0L
-    var a = 1.0 / full.tSize
-    val hi = full.sSize.toDouble
+    var a = 1.0 / g.tSize
+    val hi = g.sSize.toDouble
     while (a <= hi * (1 + eps)) {
       val (d, s, t) = peelAtRatio(g, a)
       if (d > best) { best = d; bestS = s; bestT = t }

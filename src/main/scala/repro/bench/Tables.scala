@@ -1,6 +1,7 @@
 package repro.bench
 
 import java.nio.file.{Files, Paths, StandardOpenOption}
+import scala.util.control.NonFatal
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.SynthGraphs
 import repro.approx.{ApproxResult, BSApprox, CoreApprox, PeelApprox}
@@ -36,17 +37,21 @@ object Tables {
   private def fmtMs(ms: Long, dnf: Boolean): String =
     if (dnf) f">${ms / 1000.0}%.1fs(DNF)" else if (ms < 10000) s"${ms}ms" else f"${ms / 1000.0}%.1fs"
 
-  /** Print rows and append them to bench/results/<name>.txt (best effort). */
+  /** Print rows and write them to bench/results/<name>.txt. A failed write
+    * is reported on stderr, not thrown: the printed rows are the result.
+    */
   def emit(table: String, rows: Seq[String]): Seq[String] = {
     val header = s"==== $table ===="
     (header +: rows).foreach(println)
+    val file = Paths.get(sys.props.getOrElse("repro.results.dir", "bench/results"), s"$table.txt")
     try {
-      val dir = Paths.get(sys.props.getOrElse("repro.results.dir", "bench/results"))
-      Files.createDirectories(dir)
-      Files.write(dir.resolve(s"$table.txt"),
+      Files.createDirectories(file.getParent)
+      Files.write(file,
         ((header +: rows).mkString("", "\n", "\n")).getBytes("UTF-8"),
         StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
-    } catch { case _: Throwable => () }
+    } catch {
+      case NonFatal(e) => Console.err.println(s"[emit] warning: $file not written: $e")
+    }
     rows
   }
 
@@ -76,8 +81,7 @@ object Tables {
 
   // ---- Table 3: exact algorithms ---------------------------------------
   final case class ExactBudgets(baselineMs: Long = 120000, dcMs: Long = 300000,
-                                coreMs: Long = 300000, runBaseline: Boolean = true,
-                                runDc: Boolean = true)
+                                coreMs: Long = 300000, runBaseline: Boolean = true)
 
   def table3(spark: SparkSession,
              entries: Seq[(DatasetSpec, ExactBudgets)]): Seq[String] = {
@@ -87,9 +91,7 @@ object Tables {
       val engine = new SparkCoreEngine(edges)
 
       val core = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.CoreExact, b.coreMs))
-      val dc =
-        if (b.runDc) Some(DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.DC, b.dcMs)))
-        else None
+      val dc = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.DC, b.dcMs))
       val baseline =
         if (b.runBaseline)
           Some(DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.Baseline, b.baselineMs)))
@@ -97,10 +99,9 @@ object Tables {
       engine.release()
       edges.unpersist()
 
-      def cell(r: Option[DDSExact.Result]): String =
-        r.map(x => fmtMs(x.elapsedMs, x.dnf) + f"(ρ=${x.density}%.3f,p=${x.probes})")
-          .getOrElse("-")
-      val row = f"${spec.name}%-7s Baseline=${cell(baseline)}%-34s DC=${cell(dc)}%-30s " +
+      def cell(r: DDSExact.Result): String =
+        fmtMs(r.elapsedMs, r.dnf) + f"(ρ=${r.density}%.3f,p=${r.probes})"
+      val row = f"${spec.name}%-7s Baseline=${baseline.fold("-")(cell)}%-34s DC=${cell(dc)}%-30s " +
         f"CoreExact=${fmtMs(core.elapsedMs, core.dnf)}(ρ=${core.density}%.3f,p=${core.probes},flows=${core.flows})"
       Console.err.println(s"[table3] $row")
       row
@@ -137,8 +138,7 @@ object Tables {
 
   // ---- Table 5: approximation quality ----------------------------------
   def table5(spark: SparkSession,
-             entries: Seq[(DatasetSpec, Option[Long])],
-             bsBudgetMs: Long = 180000): Seq[String] = {
+             entries: Seq[(DatasetSpec, Option[Long])]): Seq[String] = {
     val rows = entries.map { case (spec, exactBudget) =>
       val edges = DigraphOps.canonicalize(spec.build(spark)).cache()
       edges.count()
@@ -165,11 +165,10 @@ object Tables {
   }
 
   // ---- Table 6: scalability --------------------------------------------
-  def table6(spark: SparkSession, sizes: Seq[Long] = Seq(12500, 25000, 50000, 100000),
-             avgDeg: Int = 10): Seq[String] = {
+  def table6(spark: SparkSession, sizes: Seq[Long] = Seq(12500, 25000, 50000, 100000)): Seq[String] = {
     val rows = sizes.map { n =>
       val edges = DigraphOps.canonicalize(
-        SynthGraphs.powerLaw(spark, n, n * avgDeg, seed = 31)).cache()
+        SynthGraphs.powerLaw(spark, n, n * 10, seed = 31)).cache() // average degree 10
       val m = edges.count()
       val engine = new SparkCoreEngine(edges)
       val (ca, ms) = timed(CoreApprox.run(engine))

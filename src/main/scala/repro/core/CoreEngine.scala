@@ -15,8 +15,8 @@ trait CoreHandle {
   def m: Long
   def density: Double = DigraphOps.density(m, sSize, tSize)
 
-  /** Driver-side pair-subgraph (used to build flow networks). */
-  def sub(): CoreSub
+  /** The core's edges on the driver (used to build flow networks). */
+  def sub(): LocalDigraph
 
   /** The core as an answer candidate (ids + exact edge count). */
   def candidate(): Candidate
@@ -37,8 +37,8 @@ trait CoreEngine {
   /** Number of edges of the host graph. */
   def m: Long
 
-  /** The whole graph as a pair-subgraph (all sources, all destinations). */
-  def fullSub(): CoreSub
+  /** The whole graph on the driver (all sources, all destinations). */
+  def fullSub(): LocalDigraph
 
   /** The [x,y]-core, warm-started from a superset core when available
     * (caller guarantees warm.x ≤ x and warm.y ≤ y). None if empty.
@@ -57,29 +57,29 @@ object CoreEngine {
 
 /** Reference engine over a driver-local digraph. */
 final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
-  private final case class H(x: Int, y: Int, s: CoreSub) extends CoreHandle {
-    def sSize: Long = s.sSize.toLong
-    def tSize: Long = s.tSize.toLong
-    def m: Long     = s.m.toLong
-    def sub(): CoreSub = s
-    def candidate(): Candidate = s.candidate
+  private final case class H(x: Int, y: Int, g: LocalDigraph) extends CoreHandle {
+    def sSize: Long = g.sSize.toLong
+    def tSize: Long = g.tSize.toLong
+    def m: Long     = g.m.toLong
+    def sub(): LocalDigraph = g
+    def candidate(): Candidate = Candidate.of(g)
   }
 
   def n: Long = g.n.toLong
   def m: Long = g.m.toLong
 
   // the whole graph, less isolated vertices, is its own [1,1]-core
-  private lazy val full: CoreSub = LocalXYCore.peel(g, 1, 1)
-  def fullSub(): CoreSub = full
+  private lazy val full: LocalDigraph = LocalXYCore.peel(g, 1, 1)
+  def fullSub(): LocalDigraph = full
 
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
     CoreEngine.requireWarm(x, y, warm)
     val host = warm match {
-      case Some(h: H) => h.s.g
+      case Some(h: H) => h.g
       case _          => g // foreign handle: ignore warm start
     }
-    val sub = LocalXYCore.peel(host, x, y)
-    if (sub.isEmpty) None else Some(H(x, y, sub))
+    val core = LocalXYCore.peel(host, x, y)
+    if (core.isEmpty) None else Some(H(x, y, core))
   }
 }
 
@@ -102,7 +102,7 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
     def sSize: Long = core.sSize.toLong
     def tSize: Long = core.tSize.toLong
     def m: Long     = core.m
-    def sub(): CoreSub = local.fold(XYCore.collectSub(base, core))(_.fullSub())
+    def sub(): LocalDigraph = local.fold(XYCore.collectSub(base, core))(_.fullSub())
     def candidate(): Candidate = core
   }
 
@@ -115,7 +115,7 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
   lazy val n: Long = whole.fold(DigraphOps.vertices(base).count())(_.n)
 
   // canonical edges have no isolated vertex: the graph is its own [1,1]-core
-  def fullSub(): CoreSub = whole.fold(CoreSub(LocalDigraph.fromEdges(base)))(_.fullSub())
+  def fullSub(): LocalDigraph = whole.fold(LocalDigraph.fromEdges(base))(_.fullSub())
 
   private final case class Cached(x: Int, y: Int, engine: LocalCoreEngine)
   private lazy val cached: ArrayBuffer[Cached] = ArrayBuffer.from(whole.map(Cached(1, 1, _)))
@@ -128,11 +128,11 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
         c.engine.core(x, y, warm.filterNot(_.isInstanceOf[H]))
       case None =>
         val peeled = XYCore.peel(base, x, y, warm.collect { case h: H => h.core }, localCutoff)
-        val core = peeled.fold(c => c, _.candidate)
+        val core = peeled.fold(identity, Candidate.of)
         if (core.isEmpty) None
         else {
           val entry = Option.when(core.m <= localCutoff && cached.size < 8) {
-            val e = new LocalCoreEngine(peeled.getOrElse(XYCore.collectSub(base, core)).g)
+            val e = new LocalCoreEngine(peeled.getOrElse(XYCore.collectSub(base, core)))
             cached += Cached(x, y, e)
             e
           }

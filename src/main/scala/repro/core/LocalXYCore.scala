@@ -76,7 +76,7 @@ object LocalXYCore {
   /** Peel g down to its [x,y]-core: ``g`` restricted to the core's edges
     * (see [[LocalDigraph.restrict]]). Requires x ≥ 1 and y ≥ 1.
     */
-  def peel(g: LocalDigraph, x: Int, y: Int): CoreSub = {
+  def peel(g: LocalDigraph, x: Int, y: Int): LocalDigraph = {
     require(x >= 1 && y >= 1, s"need x,y >= 1, got [$x,$y]")
     val st = new PeelState(g)
     // worklist of removals: v*2 from the S side, v*2+1 from the T side; a
@@ -96,6 +96,6 @@ object LocalXYCore {
       val code = stack(top)
       if (code % 2 == 0) st.dropS(code / 2, loweredT) else st.dropT(code / 2, loweredS)
     }
-    CoreSub(g.restrict(st.inS, st.inT))
+    g.restrict(st.inS, st.inT)
   }
 }

@@ -12,22 +12,15 @@ package repro.core
   */
 object MaxCore {
 
-  /** Best core found: maximal x·y with a witness handle. */
-  final case class MaxXY(x: Int, y: Int, handle: CoreHandle) {
-    def xy: Long = x.toLong * y
-    def density: Double = handle.density
-    def candidate: Candidate = handle.candidate()
-  }
-
-  /** Largest k ≤ cap whose core ``probe(k, warm)`` is non-empty, given a
-    * known non-empty core ``from`` at k = lo. Doubles, then bisects; every
-    * probe is warm-started from the tightest known non-empty core. With
-    * x fixed and k = y this is y_max(x); with y fixed and k = x it is
-    * x_max(y), which collapses the long constant-y plateaus of
-    * hub-dominated skylines to O(log) probes.
+  /** The core at the largest k ≤ cap whose ``probe(k, warm)`` is
+    * non-empty, given a known non-empty core ``from`` at k = lo. Doubles,
+    * then bisects; every probe is warm-started from the tightest known
+    * non-empty core. With x fixed and k = y this is y_max(x); with y fixed
+    * and k = x it is x_max(y), which collapses the long constant-y plateaus
+    * of hub-dominated skylines to O(log) probes.
     */
   private def maxFrom(lo: Int, from: CoreHandle, cap: Int)
-                     (probe: (Int, CoreHandle) => Option[CoreHandle]): (Int, CoreHandle) = {
+                     (probe: (Int, CoreHandle) => Option[CoreHandle]): CoreHandle = {
     var loK    = lo
     var loCore = from
     var hiK    = -1 // smallest known-empty k, -1 = unknown
@@ -48,13 +41,14 @@ object MaxCore {
         case None    => hiK = mid
       }
     }
-    (loK, loCore)
+    loCore
   }
 
   /** Cap of the x_max(y) search: no x bound is known up front. */
   private val XCap = Int.MaxValue / 2
 
-  /** The core maximizing x·y (CoreApprox's witness). None iff no edges.
+  /** The core maximizing x·y (CoreApprox's witness); its handle's x and y
+    * are the maximizing pair. None iff no edges.
     *
     * The x-walk does not advance one step at a time: to beat the current
     * best product B with y_max capped at lastY, only x > B/lastY can help,
@@ -63,12 +57,12 @@ object MaxCore {
     * on hub-dominated graphs where x_max is huge (the jump is what makes
     * CoreApprox's complexity match the paper's √m regime).
     */
-  def maxXY(engine: CoreEngine): Option[MaxXY] = {
+  def maxXY(engine: CoreEngine): Option[CoreHandle] = {
     val c11 = engine.core(1, 1, None).getOrElse(return None)
     val yCap = math.min(engine.m, Int.MaxValue.toLong).toInt max 1
-    val (y1, c1) = maxFrom(1, c11, yCap)((y, w) => engine.core(1, y, Some(w)))
-    var best = MaxXY(1, y1, c1)
-    var lastY = y1         // upper bound on y_max(x) for all later x
+    var best = maxFrom(1, c11, yCap)((y, w) => engine.core(1, y, Some(w)))
+    def bestXY: Long = best.x.toLong * best.y
+    var lastY = best.y     // upper bound on y_max(x) for all later x
     var curX1 = c11        // an [x',1]-core with x' ≤ x (valid warm start under jumps)
     var x = 2L
     var done = false
@@ -77,46 +71,23 @@ object MaxCore {
         case None => done = true
         case Some(cx1) =>
           curX1 = cx1
-          val yNeed = (best.xy / x).toInt + 1 // smallest y that beats best
+          val yNeed = (bestXY / x).toInt + 1 // smallest y that beats best
           if (yNeed <= lastY) {
             engine.core(x.toInt, yNeed, Some(cx1)) match {
               case None =>
                 lastY = math.min(lastY, yNeed - 1) // y_max(x) < yNeed, holds for x' ≥ x too
                 if (lastY < 1) done = true
               case Some(seed) =>
-                val (yx, cyx) = maxFrom(yNeed, seed, lastY)((y, w) => engine.core(x.toInt, y, Some(w)))
+                val cyx = maxFrom(yNeed, seed, lastY)((y, w) => engine.core(x.toInt, y, Some(w)))
                 // extend the constant-y plateau to its largest x in O(log)
-                val (xb, cxb) = maxFrom(x.toInt, cyx, XCap)((k, w) => engine.core(k, yx, Some(w)))
-                lastY = yx
-                best = MaxXY(xb, yx, cxb)
-                x = xb.toLong
+                best = maxFrom(x.toInt, cyx, XCap)((k, w) => engine.core(k, cyx.y, Some(w)))
+                lastY = best.y
+                x = best.x.toLong
             }
           }
-          if (!done) x = math.max(x + 1, best.xy / lastY + 1)
+          if (!done) x = math.max(x + 1, bestXY / lastY + 1)
       }
     }
     Some(best)
-  }
-
-  /** Full skyline: all maximal (x, y_max(x)) points (small graphs only). */
-  def skyline(engine: CoreEngine): Seq[(Int, Int)] = {
-    val c11 = engine.core(1, 1, None).getOrElse(return Nil)
-    val yCap = engine.m.toInt max 1
-    val points = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-    var curX1 = c11
-    var x = 1
-    var prevY = Int.MaxValue
-    var done = false
-    while (!done) {
-      val (yx, _) = maxFrom(1, curX1, math.min(prevY, yCap))((y, w) => engine.core(x, y, Some(w)))
-      if (points.nonEmpty && points.last._2 == yx) points.remove(points.length - 1)
-      points += ((x, yx))
-      prevY = yx
-      engine.core(x + 1, 1, Some(curX1)) match {
-        case Some(next) => curX1 = next; x += 1
-        case None       => done = true
-      }
-    }
-    points.toSeq
   }
 }

@@ -48,24 +48,24 @@ object XYCore {
     * distributed; [[collectSub]] fetches them).
     */
   def peel(base: DataFrame, x: Int, y: Int, warm: Option[Candidate] = None,
-           localCutoff: Long = 0L): Either[Candidate, CoreSub] = {
+           localCutoff: Long = 0L): Either[Candidate, LocalDigraph] = {
     require(x >= 1 && y >= 1, s"need x,y >= 1, got [$x,$y]")
-    val empty = Left(Candidate(Array.empty, Array.empty, 0L))
+    val empty = Left(Candidate.empty)
     if (warm.exists(_.isEmpty)) return empty
     var sAlive: Array[Long] = warm.map(_.s).orNull // null = unrestricted
     var tAlive: Array[Long] = warm.map(_.t).orNull
 
-    def finishLocally(): Either[Candidate, CoreSub] = {
+    def finishLocally(): Either[Candidate, LocalDigraph] = {
       val alive = LocalDigraph.fromEdges(DigraphOps.pairSubgraph(base, sAlive, tAlive))
       Right(LocalXYCore.peel(alive, x, y))
     }
 
     if (warm.exists(_.m <= localCutoff)) return finishLocally()
 
-    var iterations = 0
+    // Each round's survivors are a subset of the last round's alive sets, so
+    // a round that is not stable removes at least one alive vertex: the loop
+    // ends within |S|+|T|+1 rounds (the first round may remove nothing).
     while (true) {
-      iterations += 1
-      require(iterations < 10000, "peeling failed to converge")
       val cur =
         if (sAlive == null) base
         else DigraphOps.pairSubgraph(base, sAlive, tAlive)
@@ -92,8 +92,8 @@ object XYCore {
   def coreEdges(base: DataFrame, core: Candidate): DataFrame =
     if (core.isEmpty) base.limit(0) else DigraphOps.pairSubgraph(base, core.s, core.t)
 
-  /** Materialize a core's pair-subgraph on the driver (for flow networks). */
-  def collectSub(base: DataFrame, core: Candidate): CoreSub =
-    if (core.isEmpty) CoreSub.empty
-    else CoreSub(LocalDigraph.fromEdges(coreEdges(base, core)))
+  /** Materialize a core's edges on the driver (for flow networks). */
+  def collectSub(base: DataFrame, core: Candidate): LocalDigraph =
+    if (core.isEmpty) LocalDigraph.fromPairs(Nil)
+    else LocalDigraph.fromEdges(coreEdges(base, core))
 }

@@ -55,7 +55,7 @@ object DDSExact {
 
     val full = engine.fullSub()
     if (full.isEmpty)
-      return Result(Candidate(Array.empty, Array.empty, 0L), 0, 0, Vector.empty, elapsedMs, dnf = false, None)
+      return Result(Candidate.empty, 0, 0, Vector.empty, elapsedMs, dnf = false, None)
 
     val n = engine.n
     var probes = 0
@@ -65,14 +65,11 @@ object DDSExact {
 
     // ---- seed ----
     var maxXYInfo: Option[(Int, Int)] = None
-    var best: Candidate = {
-      val g = full.g
-      Candidate(Array(g.ids(g.src(0))), Array(g.ids(g.dst(0))), 1L) // density 1 ≤ ρopt always
-    }
+    var best = Candidate(Array(full.ids(full.src(0))), Array(full.ids(full.dst(0))), 1L) // density 1 ≤ ρopt
     if (cfg.mode == Mode.CoreExact) {
       MaxCore.maxXY(engine).foreach { mx =>
         maxXYInfo = Some((mx.x, mx.y))
-        val c = mx.candidate
+        val c = mx.candidate()
         if (c.density > best.density) best = c
       }
     }

@@ -1,6 +1,7 @@
 package repro.flow
 
-import repro.core.{Candidate, CoreSub}
+import repro.core.Candidate
+import repro.graph.LocalDigraph
 
 /** The fixed-ratio density decision network.
   *
@@ -24,16 +25,15 @@ object DensityFlow {
   private val Sink   = 1
 
   /** Size (node count) of the network that ``bestAbove`` would build. */
-  def networkNodes(sub: CoreSub): Int = 2 + sub.sSize + sub.tSize
+  def networkNodes(sub: LocalDigraph): Int = 2 + sub.sSize + sub.tSize
 
   /** Return the argmax of E − (g/2)(|S|/√a + √a|T|) over ``sub`` if its
     * surrogate strictly exceeds ``g``; None otherwise.
     */
-  def bestAbove(sub: CoreSub, g: Double, a: Double): Option[Candidate] = {
+  def bestAbove(sub: LocalDigraph, g: Double, a: Double): Option[Candidate] = {
     if (sub.isEmpty) return None
-    val d = sub.g
-    val sIdx = number(d.hasOut)
-    val tIdx = number(d.hasIn)
+    val sIdx = number(sub.hasOut)
+    val tIdx = number(sub.hasIn)
     val m = sub.m
     val dinic = network(sub, sIdx, tIdx, g, a)
     val flow = dinic.maxflow(Source, Sink)
@@ -41,12 +41,12 @@ object DensityFlow {
     val side = dinic.minCutSourceSide(Source)
 
     val tBase = 2 + sub.sSize
-    val inS = new Array[Boolean](d.n)
-    val inT = new Array[Boolean](d.n)
+    val inS = new Array[Boolean](sub.n)
+    val inT = new Array[Boolean](sub.n)
     var anyS = false
     var anyT = false
     var v = 0
-    while (v < d.n) {
+    while (v < sub.n) {
       if (sIdx(v) >= 0 && side(2 + sIdx(v))) { inS(v) = true; anyS = true }
       if (tIdx(v) >= 0 && side(tBase + tIdx(v))) { inT(v) = true; anyT = true }
       v += 1
@@ -54,22 +54,21 @@ object DensityFlow {
     if (!anyS || !anyT) return None
 
     // Exact integer edge count between the selected sides.
-    val cand = Candidate(d.idsOf(inS), d.idsOf(inT), d.edgesBetween(inS, inT))
+    val cand = Candidate(sub.idsOf(inS), sub.idsOf(inT), sub.edgesBetween(inS, inT))
     if (cand.surrogate(a) > g * (1 + 1e-12) + 1e-12) Some(cand) else None
   }
 
   /** Max-flow value of the (g, a) network over ``sub``: m minus the
     * objective's maximum.
     */
-  private[flow] def maxflow(sub: CoreSub, g: Double, a: Double): Double =
+  private[flow] def maxflow(sub: LocalDigraph, g: Double, a: Double): Double =
     if (sub.isEmpty) 0.0
-    else network(sub, number(sub.g.hasOut), number(sub.g.hasIn), g, a).maxflow(Source, Sink)
+    else network(sub, number(sub.hasOut), number(sub.hasIn), g, a).maxflow(Source, Sink)
 
   /** The vertex-only network for (g, a) over ``sub``, with S and T numbered
     * by ``sIdx`` and ``tIdx``: 2+|S|+|T| nodes, m+2|S|+|T| arcs.
     */
-  private def network(sub: CoreSub, sIdx: Array[Int], tIdx: Array[Int], g: Double, a: Double): Dinic = {
-    val d = sub.g
+  private def network(sub: LocalDigraph, sIdx: Array[Int], tIdx: Array[Int], g: Double, a: Double): Dinic = {
     val ns = sub.sSize
     val tBase = 2 + ns
     val sCost = g / (2.0 * math.sqrt(a))
@@ -77,7 +76,7 @@ object DensityFlow {
 
     val outDeg = new Array[Int](ns)
     var k = 0
-    while (k < d.m) { outDeg(sIdx(d.src(k))) += 1; k += 1 }
+    while (k < sub.m) { outDeg(sIdx(sub.src(k))) += 1; k += 1 }
 
     val dinic = new Dinic(tBase + sub.tSize)
     var i = 0
@@ -89,7 +88,7 @@ object DensityFlow {
     var j = 0
     while (j < sub.tSize) { dinic.addEdge(tBase + j, Sink, tCost); j += 1 }
     k = 0
-    while (k < d.m) { dinic.addEdge(2 + sIdx(d.src(k)), tBase + tIdx(d.dst(k)), 1.0); k += 1 }
+    while (k < sub.m) { dinic.addEdge(2 + sIdx(sub.src(k)), tBase + tIdx(sub.dst(k)), 1.0); k += 1 }
     dinic
   }
 

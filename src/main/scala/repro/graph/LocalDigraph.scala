@@ -6,8 +6,9 @@ import org.apache.spark.sql.DataFrame
   *
   * The one driver-side edge format: collected graphs and cores, the local
   * peeler's input and output, warm starts and the flow networks of the
-  * exact algorithm all use it. Original ids are read back only to build an
-  * answer.
+  * exact algorithm all use it. As a core it is the pair (S, T, E(S,T)):
+  * S is the vertices with an out-edge, T those with an in-edge. Original
+  * ids are read back only to build an answer (``Candidate.of``).
   *
   * ``ids(i)`` maps the internal index ``i`` back to the original vertex id;
   * ``ids`` is ascending, so index order is id order.
@@ -43,6 +44,19 @@ final class LocalDigraph(val n: Int,
   def hasOut: Array[Boolean] = marks(src)
   def hasIn: Array[Boolean]  = marks(dst)
 
+  /** |S| and |T|: the vertices with an out-edge and with an in-edge. */
+  lazy val sSize: Int = count(hasOut)
+  lazy val tSize: Int = count(hasIn)
+  def isEmpty: Boolean  = m == 0
+  def nonEmpty: Boolean = !isEmpty
+
+  private def count(mask: Array[Boolean]): Int = {
+    var c = 0
+    var v = 0
+    while (v < n) { if (mask(v)) c += 1; v += 1 }
+    c
+  }
+
   private def marks(ends: Array[Int]): Array[Boolean] = {
     val b = new Array[Boolean](n)
     var i = 0
@@ -52,12 +66,9 @@ final class LocalDigraph(val n: Int,
 
   /** Original ids of the masked vertices, ascending. */
   def idsOf(mask: Array[Boolean]): Array[Long] = {
+    val out = new Array[Long](count(mask))
     var c = 0
     var v = 0
-    while (v < n) { if (mask(v)) c += 1; v += 1 }
-    val out = new Array[Long](c)
-    c = 0
-    v = 0
     while (v < n) { if (mask(v)) { out(c) = ids(v); c += 1 }; v += 1 }
     out
   }

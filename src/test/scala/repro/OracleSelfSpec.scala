@@ -22,6 +22,13 @@ class OracleSelfSpec extends SparkSpec {
     }
   }
 
+  test("equal rows pass in any order, even when their joined strings collide") {
+    // both rows join to "1\u00012\u00013" with a \u0001 separator; DuckDB
+    // returns them in the opposite order to Spark
+    val df = Seq(("1", "2\u00013"), ("1\u00012", "3")).toDF("a", "b")
+    Oracle.assertEquivalent(df.orderBy("a"), "SELECT a, b FROM t ORDER BY a DESC", "t" -> df)
+  }
+
   test("column-name mismatches are rejected") {
     val df = Seq((1L, "a")).toDF("k", "g")
     intercept[IllegalArgumentException] {

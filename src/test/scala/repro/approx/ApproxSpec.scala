@@ -2,7 +2,7 @@ package repro.approx
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.core.{LocalCoreEngine, LocalXYCore, SparkCoreEngine}
+import repro.core.{Candidate, LocalCoreEngine, LocalXYCore, SparkCoreEngine}
 import repro.graph.{DigraphOps, LocalDigraph}
 import repro.ref.BruteForce
 
@@ -193,7 +193,7 @@ class ApproxSpec extends AnyFunSuite {
       val spark = repro.SparkSpec.shared
       val g = local(pairs)
       val df = TestGraphs.df(spark, pairs)
-      val core11 = LocalXYCore.peel(g, 1, 1).candidate
+      val core11 = Candidate.of(LocalXYCore.peel(g, 1, 1))
       val peel = PeelApprox.run(g)
       val bsLocal = BSApprox.runLocal(g)
       val bsSpark = BSApprox.run(df)

@@ -35,8 +35,8 @@ object CoreProps extends Properties("core") {
     genGraph, Gen.choose(1, 3), Gen.choose(1, 3)) { (g, x, y) =>
     val c = LocalXYCore.peel(g, x, y)
     c.isEmpty || {
-      val cand = c.candidate
-      val edges = TestGraphs.edgePairs(c.g)
+      val cand = Candidate.of(c)
+      val edges = TestGraphs.edgePairs(c)
       val tSet = cand.t.toSet
       val sSet = cand.s.toSet
       cand.s.forall(u => edges.count(e => e._1 == u && tSet.contains(e._2)) >= x) &&
@@ -47,19 +47,19 @@ object CoreProps extends Properties("core") {
   property("non-empty [x,y]-core has density >= sqrt(x*y)") = Prop.forAll(
     genGraph, Gen.choose(1, 3), Gen.choose(1, 3)) { (g, x, y) =>
     val c = LocalXYCore.peel(g, x, y)
-    c.isEmpty || c.candidate.density >= math.sqrt(x.toDouble * y) - 1e-9
+    c.isEmpty || Candidate.of(c).density >= math.sqrt(x.toDouble * y) - 1e-9
   }
 
   property("cores nested in x") = Prop.forAll(genGraph, Gen.choose(1, 3)) { (g, y) =>
-    val c1 = LocalXYCore.peel(g, 1, y).candidate
-    val c2 = LocalXYCore.peel(g, 2, y).candidate
+    val c1 = Candidate.of(LocalXYCore.peel(g, 1, y))
+    val c2 = Candidate.of(LocalXYCore.peel(g, 2, y))
     c2.s.toSet.subsetOf(c1.s.toSet) && c2.t.toSet.subsetOf(c1.t.toSet)
   }
 
   property("candidate density consistent with edge recount") = Prop.forAll(genGraph) { g =>
     val c = LocalXYCore.peel(g, 1, 1)
     c.isEmpty || {
-      val (s, t) = (c.candidate.s.toSet, c.candidate.t.toSet)
+      val (s, t) = (Candidate.of(c).s.toSet, Candidate.of(c).t.toSet)
       val recount = TestGraphs.edgePairs(g).count { case (u, v) => s(u) && t(v) }
       recount == c.m
     }

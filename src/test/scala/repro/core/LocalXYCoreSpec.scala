@@ -8,10 +8,10 @@ import repro.graph.LocalDigraph
 class LocalXYCoreSpec extends AnyFunSuite {
 
   /** Check the degree constraints of a claimed [x,y]-core. */
-  private def checkConstraints(sub: CoreSub, x: Int, y: Int): Unit = {
+  private def checkConstraints(sub: LocalDigraph, x: Int, y: Int): Unit = {
     if (sub.nonEmpty) {
-      val c = sub.candidate
-      val edges = TestGraphs.edgePairs(sub.g)
+      val c = Candidate.of(sub)
+      val edges = TestGraphs.edgePairs(sub)
       val sSet = c.s.toSet
       val tSet = c.t.toSet
       for (u <- c.s) {
@@ -41,7 +41,7 @@ class LocalXYCoreSpec extends AnyFunSuite {
 
   test("[1,1]-core of a single edge is that edge") {
     val g = LocalDigraph.fromPairs(Seq((1L, 2L)))
-    val c = LocalXYCore.peel(g, 1, 1).candidate
+    val c = Candidate.of(LocalXYCore.peel(g, 1, 1))
     assert(c.s.toSeq === Seq(1L))
     assert(c.t.toSeq === Seq(2L))
     assert(c.m === 1)
@@ -55,7 +55,7 @@ class LocalXYCoreSpec extends AnyFunSuite {
   test("star: [k,1]-core keeps the whole star") {
     val k = 6
     val g = LocalDigraph.fromPairs((1 to k).map(i => (0L, i.toLong)))
-    val c = LocalXYCore.peel(g, k, 1).candidate
+    val c = Candidate.of(LocalXYCore.peel(g, k, 1))
     assert(c.s.toSeq === Seq(0L))
     assert(c.t.length === k)
     assert(LocalXYCore.peel(g, k + 1, 1).isEmpty)
@@ -85,8 +85,8 @@ class LocalXYCoreSpec extends AnyFunSuite {
         val c = LocalXYCore.peel(g, x, y)
         checkConstraints(c, x, y)
         val (ns, nt) = naiveCore(g, x, y)
-        assert(c.candidate.s.toSet === ns, s"[$x,$y] S mismatch")
-        assert(c.candidate.t.toSet === nt, s"[$x,$y] T mismatch")
+        assert(Candidate.of(c).s.toSet === ns, s"[$x,$y] S mismatch")
+        assert(Candidate.of(c).t.toSet === nt, s"[$x,$y] T mismatch")
       }
     }
   }
@@ -94,10 +94,10 @@ class LocalXYCoreSpec extends AnyFunSuite {
   for (seed <- 1 to 8) {
     test(s"cores are nested in (x,y) (seed=$seed)") {
       val g = TestGraphs.randomLocal(12, 40, 100 + seed)
-      val c11 = LocalXYCore.peel(g, 1, 1).candidate
-      val c21 = LocalXYCore.peel(g, 2, 1).candidate
-      val c12 = LocalXYCore.peel(g, 1, 2).candidate
-      val c22 = LocalXYCore.peel(g, 2, 2).candidate
+      val c11 = Candidate.of(LocalXYCore.peel(g, 1, 1))
+      val c21 = Candidate.of(LocalXYCore.peel(g, 2, 1))
+      val c12 = Candidate.of(LocalXYCore.peel(g, 1, 2))
+      val c22 = Candidate.of(LocalXYCore.peel(g, 2, 2))
       assert(c21.s.toSet.subsetOf(c11.s.toSet) && c21.t.toSet.subsetOf(c11.t.toSet))
       assert(c12.s.toSet.subsetOf(c11.s.toSet) && c12.t.toSet.subsetOf(c11.t.toSet))
       assert(c22.s.toSet.subsetOf(c21.s.toSet) && c22.t.toSet.subsetOf(c12.t.toSet))
@@ -108,7 +108,7 @@ class LocalXYCoreSpec extends AnyFunSuite {
     test(s"density of a non-empty [x,y]-core is at least sqrt(x*y) (seed=$seed)") {
       val g = TestGraphs.randomLocal(14, 70, 200 + seed)
       for (x <- 1 to 4; y <- 1 to 4) {
-        val c = LocalXYCore.peel(g, x, y).candidate
+        val c = Candidate.of(LocalXYCore.peel(g, x, y))
         if (c.nonEmpty)
           assert(c.density >= math.sqrt(x.toDouble * y) - 1e-9,
             s"[$x,$y] density ${c.density}")

@@ -11,12 +11,12 @@ class XYCoreSparkSpec extends SparkSpec {
   /** XYCore.peel's core, wherever it was finished. */
   private def peel(base: DataFrame, x: Int, y: Int, warm: Option[Candidate] = None,
                    localCutoff: Long = 0L): Candidate =
-    XYCore.peel(base, x, y, warm, localCutoff).fold(c => c, _.candidate)
+    XYCore.peel(base, x, y, warm, localCutoff).fold(identity, Candidate.of)
 
   private def peelBoth(pairs: Seq[(Long, Long)], x: Int, y: Int): (Candidate, Candidate) = {
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
     val sparkCore = peel(base, x, y)
-    val localCore = LocalXYCore.peel(LocalDigraph.fromPairs(pairs), x, y).candidate
+    val localCore = Candidate.of(LocalXYCore.peel(LocalDigraph.fromPairs(pairs), x, y))
     (sparkCore, localCore)
   }
 
@@ -44,7 +44,7 @@ class XYCoreSparkSpec extends SparkSpec {
       val g = LocalDigraph.fromPairs(pairs)
       for ((x, y) <- Seq((1, 1), (2, 1), (1, 2), (2, 2), (3, 2))) {
         val sc = peel(base, x, y)
-        val lc = LocalXYCore.peel(g, x, y).candidate
+        val lc = Candidate.of(LocalXYCore.peel(g, x, y))
         assert(sc.s.toSeq === lc.s.toSeq, s"[$x,$y] S")
         assert(sc.t.toSeq === lc.t.toSeq, s"[$x,$y] T")
         assert(sc.m === lc.m.toLong, s"[$x,$y] m")
@@ -60,7 +60,7 @@ class XYCoreSparkSpec extends SparkSpec {
       val g = LocalDigraph.fromPairs(pairs)
       for ((x, y) <- Seq((1, 1), (2, 2), (3, 1), (4, 2))) {
         val sc = peel(base, x, y)
-        val lc = LocalXYCore.peel(g, x, y).candidate
+        val lc = Candidate.of(LocalXYCore.peel(g, x, y))
         assert(sc.s.toSeq === lc.s.toSeq, s"[$x,$y]")
         assert(sc.t.toSeq === lc.t.toSeq, s"[$x,$y]")
         assert(sc.m === lc.m.toLong, s"[$x,$y]")
@@ -79,7 +79,7 @@ class XYCoreSparkSpec extends SparkSpec {
         val all = XYCore.peel(base, x, y, None, localCutoff = 1000000L)
         // a non-empty core under the cutoff comes back with its edges
         assert(all.isRight || pure.isEmpty, s"[$x,$y]")
-        val hybridAll = all.fold(c => c, _.candidate)
+        val hybridAll = all.fold(identity, Candidate.of)
         for (h <- Seq(hybridLow, hybridAll)) {
           assert(h.s.toSeq === pure.s.toSeq, s"[$x,$y]")
           assert(h.t.toSeq === pure.t.toSeq, s"[$x,$y]")
@@ -97,11 +97,11 @@ class XYCoreSparkSpec extends SparkSpec {
     val cold = peel(base, 2, 2)
     val warmSub = XYCore.peel(base, 2, 2, Some(c11), localCutoff = 1000000L)
       .getOrElse(fail("not finished on the driver"))
-    val warm = warmSub.candidate
+    val warm = Candidate.of(warmSub)
     assert(warm.s.toSeq === cold.s.toSeq && warm.t.toSeq === cold.t.toSeq && warm.m === cold.m)
     // the driver finish keeps the core's edges
-    assert(TestGraphs.edgePairs(warmSub.g).toSet ===
-      TestGraphs.edgePairs(XYCore.collectSub(base, cold).g).toSet)
+    assert(TestGraphs.edgePairs(warmSub).toSet ===
+      TestGraphs.edgePairs(XYCore.collectSub(base, cold)).toSet)
     base.unpersist()
   }
 
@@ -182,9 +182,9 @@ class XYCoreSparkSpec extends SparkSpec {
     val core = peel(base, 2, 1)
     val sub = XYCore.collectSub(base, core)
     val lc = LocalXYCore.peel(LocalDigraph.fromPairs(pairs), 2, 1)
-    assert(sub.candidate.s.toSeq === lc.candidate.s.toSeq)
-    assert(sub.candidate.t.toSeq === lc.candidate.t.toSeq)
-    assert(TestGraphs.edgePairs(sub.g).toSet === TestGraphs.edgePairs(lc.g).toSet)
+    assert(Candidate.of(sub).s.toSeq === Candidate.of(lc).s.toSeq)
+    assert(Candidate.of(sub).t.toSeq === Candidate.of(lc).t.toSeq)
+    assert(TestGraphs.edgePairs(sub).toSet === TestGraphs.edgePairs(lc).toSet)
     base.unpersist()
   }
 
@@ -208,9 +208,9 @@ class XYCoreSparkSpec extends SparkSpec {
               s"$name [$x,$y]")
             val cold = LocalXYCore.peel(g, x, y)
             for (sh <- s) {
-              assert(sh.candidate().s.toSeq === cold.candidate.s.toSeq, s"$name [$x,$y] S")
-              assert(sh.candidate().t.toSeq === cold.candidate.t.toSeq, s"$name [$x,$y] T")
-              assert(TestGraphs.edgePairs(sh.sub().g).toSet === TestGraphs.edgePairs(cold.g).toSet,
+              assert(sh.candidate().s.toSeq === Candidate.of(cold).s.toSeq, s"$name [$x,$y] S")
+              assert(sh.candidate().t.toSeq === Candidate.of(cold).t.toSeq, s"$name [$x,$y] T")
+              assert(TestGraphs.edgePairs(sh.sub()).toSet === TestGraphs.edgePairs(cold).toSet,
                 s"$name [$x,$y] edges")
             }
             if (s.nonEmpty) warm = s

@@ -2,7 +2,6 @@ package repro.flow
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.core.CoreSub
 import repro.graph.{DigraphOps, LocalDigraph}
 import repro.ref.BruteForce
 
@@ -11,26 +10,23 @@ class DensityFlowSpec extends AnyFunSuite {
 
   test("single edge: decision flips exactly at the surrogate value") {
     val g = LocalDigraph.fromPairs(Seq((1L, 2L)))
-    val sub = CoreSub(g)
     val a = 1.0
     val sur = DigraphOps.surrogate(1, 1, 1, a) // = 1.0
-    assert(DensityFlow.bestAbove(sub, sur - 0.01, a).isDefined)
-    assert(DensityFlow.bestAbove(sub, sur, a).isEmpty)
-    assert(DensityFlow.bestAbove(sub, sur + 0.01, a).isEmpty)
+    assert(DensityFlow.bestAbove(g, sur - 0.01, a).isDefined)
+    assert(DensityFlow.bestAbove(g, sur, a).isEmpty)
+    assert(DensityFlow.bestAbove(g, sur + 0.01, a).isEmpty)
   }
 
   test("extraction at g=0 returns a pair with positive surrogate") {
     val g = TestGraphs.randomLocal(8, 14, seed = 3)
-    val sub = CoreSub(g)
-    val c = DensityFlow.bestAbove(sub, 0.0, 1.0)
+    val c = DensityFlow.bestAbove(g, 0.0, 1.0)
     assert(c.isDefined)
     assert(c.get.surrogate(1.0) > 0.0)
   }
 
   test("networkNodes counts 2 + |S| + |T|") {
     val g = TestGraphs.randomLocal(8, 14, seed = 4)
-    val sub = CoreSub(g)
-    assert(DensityFlow.networkNodes(sub) === 2 + sub.sSize + sub.tSize)
+    assert(DensityFlow.networkNodes(g) === 2 + g.sSize + g.tSize)
   }
 
   /** max over all (S,T) of E(S,T) − c_S|S| − c_T|T| (0 at S = T = ∅), by enumeration. */
@@ -48,13 +44,12 @@ class DensityFlowSpec extends AnyFunSuite {
   for (seed <- 1 to 10; a <- Seq(0.5, 1.0, 3.0)) {
     test(s"m − maxflow equals the brute-force cut objective (seed=$seed a=$a)") {
       val g = TestGraphs.randomLocal(6 + seed % 2, 5 + seed, 400 + seed)
-      val sub = CoreSub(g)
       val opt = BruteForce.surrogateMax(g, a)
       for (gv <- Seq(0.0, opt * 0.5, opt * 0.9, opt, opt * 1.5 + 1.0)) {
         val cS = gv / (2.0 * math.sqrt(a))
         val cT = gv * math.sqrt(a) / 2.0
         val expected = bruteObjectiveMax(g, cS, cT)
-        val got = g.m - DensityFlow.maxflow(sub, gv, a)
+        val got = g.m - DensityFlow.maxflow(g, gv, a)
         assert(math.abs(got - expected) < 1e-9, s"g=$gv: m − flow = $got, objective max = $expected")
       }
     }
@@ -64,15 +59,14 @@ class DensityFlowSpec extends AnyFunSuite {
     test(s"decision matches brute-force surrogate max (seed=$seed a=$a)") {
       val g = TestGraphs.randomLocal(7, 4 + seed, seed)
       if (g.m > 0) {
-        val sub = CoreSub(g)
         val opt = BruteForce.surrogateMax(g, a)
         // strictly below opt: must find something better
-        val below = DensityFlow.bestAbove(sub, opt * 0.999 - 1e-9, a)
+        val below = DensityFlow.bestAbove(g, opt * 0.999 - 1e-9, a)
         assert(below.isDefined, s"expected a pair above ${opt * 0.999}")
         assert(below.get.surrogate(a) > opt * 0.999 - 1e-9)
         // at/above opt: must find nothing
-        assert(DensityFlow.bestAbove(sub, opt, a).isEmpty, s"opt=$opt")
-        assert(DensityFlow.bestAbove(sub, opt * 1.001 + 1e-9, a).isEmpty)
+        assert(DensityFlow.bestAbove(g, opt, a).isEmpty, s"opt=$opt")
+        assert(DensityFlow.bestAbove(g, opt * 1.001 + 1e-9, a).isEmpty)
       }
     }
   }
@@ -81,7 +75,6 @@ class DensityFlowSpec extends AnyFunSuite {
     test(s"extracted pair is the exact surrogate argmax after Dinkelbach (seed=$seed)") {
       val g = TestGraphs.randomLocal(7, 6 + seed, 50 + seed)
       if (g.m > 0) {
-        val sub = CoreSub(g)
         val a = 1.0 + (seed % 3) * 0.5
         // Dinkelbach iteration from 0 must converge to the brute-force optimum.
         var gCur = 0.0
@@ -91,7 +84,7 @@ class DensityFlowSpec extends AnyFunSuite {
         while (continue) {
           iters += 1
           assert(iters < 100)
-          DensityFlow.bestAbove(sub, gCur, a) match {
+          DensityFlow.bestAbove(g, gCur, a) match {
             case Some(c) => cand = Some(c); gCur = c.surrogate(a)
             case None    => continue = false
           }
@@ -105,18 +98,17 @@ class DensityFlowSpec extends AnyFunSuite {
   }
 
   test("empty subgraph: no answer") {
-    assert(DensityFlow.bestAbove(CoreSub.empty, 0.0, 1.0).isEmpty)
+    assert(DensityFlow.bestAbove(LocalDigraph.fromPairs(Nil), 0.0, 1.0).isEmpty)
   }
 
   test("full bipartite block: argmax at matching ratio is the whole block") {
     // 3x2 complete bipartite: surrogate at a=3/2 equals density sqrt(6)=2.449...
     val pairs = for (i <- 0 until 3; j <- 0 until 2) yield (i.toLong, (10 + j).toLong)
     val g = LocalDigraph.fromPairs(pairs)
-    val sub = CoreSub(g)
     val a = 1.5
-    val c = DensityFlow.bestAbove(sub, math.sqrt(6.0) - 0.01, a)
+    val c = DensityFlow.bestAbove(g, math.sqrt(6.0) - 0.01, a)
     assert(c.isDefined)
     assert(c.get.sSize === 3 && c.get.tSize === 2 && c.get.m === 6)
-    assert(DensityFlow.bestAbove(sub, math.sqrt(6.0) + 1e-9, a).isEmpty)
+    assert(DensityFlow.bestAbove(g, math.sqrt(6.0) + 1e-9, a).isEmpty)
   }
 }

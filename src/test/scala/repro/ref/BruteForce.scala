@@ -1,19 +1,21 @@
 package repro.ref
 
-import repro.core.Candidate
+import repro.core.{Candidate, LocalXYCore}
 import repro.graph.{DigraphOps, LocalDigraph}
 
-/** Exhaustive ground truth for tiny graphs (tests only).
+/** Exhaustive ground truth for tiny graphs.
   *
   * Enumerates every non-empty S,T ⊆ V (4ⁿ pairs pruned to 2ⁿ·2ⁿ bitmask
-  * loops with popcount edge counting); n ≤ 16 enforced.
+  * loops with popcount edge counting); n ≤ 16 enforced. The core-lattice
+  * scans probe every (x,y) of a degree-bounded grid with the reference
+  * peeler, sharing no code with ``MaxCore``'s staircase search.
   */
 object BruteForce {
 
   /** The exact DDS: argmax of ρ(S,T) = |E(S,T)|/√(|S||T|). */
   def dds(g: LocalDigraph): Candidate = {
     require(g.n <= 16, s"brute force limited to n<=16, got ${g.n}")
-    if (g.m == 0) return Candidate(Array.empty, Array.empty, 0L)
+    if (g.m == 0) return Candidate.empty
     val n = g.n
     val outMask = new Array[Int](n)
     var i = 0
@@ -74,9 +76,7 @@ object BruteForce {
     best
   }
 
-  /** All maximal non-empty (x,y) with a non-empty [x,y]-core, by scanning
-    * a degree-bounded grid with the reference peeler (tests of MaxCore).
-    */
+  /** The (x,y) maximizing x·y among those with a non-empty [x,y]-core. */
   def maxXYGrid(g: LocalDigraph): Option[(Int, Int)] = {
     if (g.m == 0) return None
     val maxOut = (0 until g.n).map(g.outDeg).max
@@ -84,13 +84,28 @@ object BruteForce {
     var best: Option[(Int, Int)] = None
     var bestXY = 0L
     for (x <- 1 to maxOut; y <- 1 to maxIn) {
-      if (x.toLong * y > bestXY &&
-          repro.core.LocalXYCore.peel(g, x, y).nonEmpty) {
+      if (x.toLong * y > bestXY && LocalXYCore.peel(g, x, y).nonEmpty) {
         bestXY = x.toLong * y
         best = Some((x, y))
       }
     }
     best
+  }
+
+  /** The skyline: every (x, y_max(x)) with a non-empty core that no other
+    * non-empty (x', y') with x' ≥ x, y' ≥ y dominates, by increasing x.
+    */
+  def skyline(g: LocalDigraph): Seq[(Int, Int)] = {
+    if (g.m == 0) return Nil
+    val maxOut = (0 until g.n).map(g.outDeg).max
+    val maxIn = (0 until g.n).map(g.inDeg).max
+    val points = for {
+      x <- 1 to maxOut
+      y <- (1 to maxIn).filter(y => LocalXYCore.peel(g, x, y).nonEmpty).maxOption
+    } yield (x, y)
+    points.filterNot { case (x, y) =>
+      points.exists { case (x2, y2) => x2 >= x && y2 >= y && (x2, y2) != (x, y) }
+    }
   }
 
   private def maskIds(g: LocalDigraph, mask: Int): Array[Long] =
