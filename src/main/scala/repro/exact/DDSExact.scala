@@ -17,15 +17,16 @@ import repro.flow.DensityFlow
   *    log-symmetric interval [a/r, a·r] (r = pruneRadius(o_a/ρ_best)) is
   *    pruned; recursion continues outside, terminating when Stern–Brocot
   *    certifies an interval ratio-free. Flows still on the full graph.
-  *  - ``CoreExact``: DC plus [x,y]-core pruning — the argmax at threshold
-  *    g and ratio a lies in the [⌈g/(2√a)⌉, ⌈g·√a/2⌉]-core, so each flow
-  *    network is built on that (shrinking) core; the search is seeded with
-  *    the max-x·y core (CoreApprox), whose density is ≥ ρopt/2.
+  *  - ``CoreExact``: DC plus [x,y]-core pruning — at ratio a = p/q, the
+  *    argmax above the level e/d lies in the [⌈e·q/d⌉, ⌈e·p/d⌉]-core, so
+  *    each flow network is built on that (shrinking) core; the search is
+  *    seeded with the max-x·y core (CoreApprox), whose density is ≥ ρopt/2.
   *
-  * Per ratio, the surrogate maximum is found by Dinkelbach iteration:
-  * repeat min-cut at g = current candidate's surrogate until no strictly
-  * better pair exists; the final candidate is the exact argmax (values
-  * strictly increase and are finitely many).
+  * Per ratio a = p/q, the surrogate maximum is found by Dinkelbach
+  * iteration on the level E/(q|S| + p|T|), which the surrogate is 2√(pq)
+  * times: repeat min-cut at e/d = the current candidate's level until no
+  * pair has a strictly higher one. Levels are compared in integers, so the
+  * final candidate is the exact argmax.
   */
 object DDSExact {
 
@@ -76,30 +77,32 @@ object DDSExact {
 
     def overBudget: Boolean = elapsedMs > cfg.wallBudgetMs
 
-    /** Exact surrogate argmax at ratio a; returns (o_a, argmax candidate). */
-    def probeRatio(a: Double): (Double, Candidate) = {
+    /** Exact surrogate argmax at ratio a = p/q. Each step moves to a pair of
+      * strictly higher level E/(q|S| + p|T|) (``bestAbove`` checks it
+      * exactly), and the levels are finitely many, so the loop ends.
+      */
+    def probeRatio(p: Long, q: Long): Candidate = {
       var cand = best
       var warm: Option[CoreHandle] = None
-      var iter = 0
       while (true) {
-        iter += 1
-        require(iter <= 1000, s"Dinkelbach failed to converge at a=$a")
-        val g = cand.surrogate(a)
+        val e = cand.m
+        val d = q * cand.sSize + p * cand.tSize
         val sub = cfg.mode match {
           case Mode.CoreExact =>
-            val x = math.max(1L, math.ceil(g / (2.0 * math.sqrt(a)) - 1e-9).toLong).toInt
-            val y = math.max(1L, math.ceil(g * math.sqrt(a) / 2.0 - 1e-9).toLong).toInt
+            // the argmax above level e/d lies in the [⌈e·q/d⌉, ⌈e·p/d⌉]-core
+            val x = ((e * q + d - 1) / d).toInt
+            val y = ((e * p + d - 1) / d).toInt
             val w = warm.filter(h => h.x <= x && h.y <= y)
             engine.core(x, y, w) match {
-              case None    => return (g, cand)
+              case None    => return cand
               case Some(h) => warm = Some(h); h.sub()
             }
           case _ => full
         }
         flows += 1
         flowNodes += DensityFlow.networkNodes(sub)
-        DensityFlow.bestAbove(sub, g, a) match {
-          case None => return (g, cand)
+        DensityFlow.bestAbove(sub, e, d, p, q) match {
+          case None => return cand
           case Some(c2) =>
             cand = c2
             if (c2.density > best.density) best = c2
@@ -114,7 +117,8 @@ object DDSExact {
         while (it.hasNext && !dnf) {
           if (overBudget) dnf = true
           else {
-            probeRatio(it.next())
+            val (p, q) = it.next()
+            probeRatio(p, q)
             probes += 1
           }
         }
@@ -126,18 +130,14 @@ object DDSExact {
           if (overBudget) { dnf = true }
           else {
             val (lo, hi) = stack.pop()
-            RatioUtils.simplestBetween(lo, hi) match {
-              case None => ()
-              case Some((p, q)) if p > n || q > n => () // no candidate ratio inside
-              case Some((p, q)) =>
-                val a = p.toDouble / q
-                val (oA, _) = probeRatio(a)
-                probes += 1
-                val theta = math.min(1.0, oA / math.max(best.density, 1e-12))
-                val r = RatioUtils.pruneRadius(theta)
-                val rSafe = math.max(r, 1.0 + 1.0 / (2.0 * n * math.max(p, q)))
-                if (a / rSafe > lo) stack.push((lo, a / rSafe))
-                if (a * rSafe < hi) stack.push((a * rSafe, hi))
+            RatioUtils.simplestBetween(lo, hi, n).foreach { case (p, q) =>
+              val a = p.toDouble / q
+              val oA = probeRatio(p, q).surrogate(a)
+              probes += 1
+              // (lo, a/r) and (a·r, hi) are open, so neither holds p/q again
+              val r = RatioUtils.pruneRadius(math.min(1.0, oA / best.density))
+              if (a / r > lo) stack.push((lo, a / r))
+              if (a * r < hi) stack.push((a * r, hi))
             }
           }
         }

@@ -43,32 +43,32 @@ class PruningLemmaSpec extends AnyFunSuite {
   for (seed <- 1 to 6) {
     test(s"core-restricted Dinkelbach reaches the global surrogate max (seed=$seed)") {
       // This is CoreExact's inner loop: flows built only on the
-      // [⌈g/2√a⌉,⌈g√a/2⌉]-core must still converge to the same optimum
-      // (core containment of the surrogate argmax).
+      // [⌈e·q/d⌉,⌈e·p/d⌉]-core at level e/d must still converge to the same
+      // optimum (core containment of the surrogate argmax).
       val g = TestGraphs.randomLocal(8, 16 + seed, 9000 + seed)
       if (g.m > 0) {
         val engine = new LocalCoreEngine(g)
-        for (a <- Seq(0.5, 1.0, 2.0)) {
-          val opt = BruteForce.surrogateMax(g, a)
-          var gCur = 0.0
-          var last = 0.0
+        for ((p, q) <- Seq((1L, 2L), (1L, 1L), (2L, 1L))) {
+          val opt = BruteForce.surrogateLevel(g, p, q)
+          var cur = (0L, 1L)
           var continue = true
           var iters = 0
           while (continue) {
             iters += 1
             assert(iters < 100)
-            val x = math.max(1L, math.ceil(gCur / (2 * math.sqrt(a)) - 1e-9).toLong).toInt
-            val y = math.max(1L, math.ceil(gCur * math.sqrt(a) / 2 - 1e-9).toLong).toInt
+            val (e, d) = cur
+            val x = math.max(1L, (e * q + d - 1) / d).toInt
+            val y = math.max(1L, (e * p + d - 1) / d).toInt
             engine.core(x, y) match {
               case None => continue = false
               case Some(h) =>
-                repro.flow.DensityFlow.bestAbove(h.sub(), gCur, a) match {
-                  case Some(c) => last = c.surrogate(a); gCur = last
+                repro.flow.DensityFlow.bestAbove(h.sub(), e, d, p, q) match {
+                  case Some(c) => cur = (c.m, q * c.sSize + p * c.tSize)
                   case None    => continue = false
                 }
             }
           }
-          assert(math.abs(last - opt) < 1e-9, s"a=$a got $last expected $opt")
+          assert(cur._1 * opt._2 === opt._1 * cur._2, s"a=$p/$q got $cur expected $opt")
         }
       }
     }

@@ -2,26 +2,37 @@ package repro.flow
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.graph.{DigraphOps, LocalDigraph}
+import repro.core.Candidate
+import repro.graph.LocalDigraph
 import repro.ref.BruteForce
 
-/** The (g, a) decision network: decide-and-extract vs brute force. */
+/** The (e/d, p/q) decision network: decide-and-extract vs brute force. Each
+  * threshold is a level e/d of E(S,T)/(q|S| + p|T|), the surrogate ρ'_{p/q}
+  * over 2√(pq).
+  */
 class DensityFlowSpec extends AnyFunSuite {
+
+  /** The level of ``c`` at ratio p/q, as (E, q|S| + p|T|). */
+  private def level(c: Candidate, p: Long, q: Long): (Long, Long) = (c.m, q * c.sSize + p * c.tSize)
+
+  /** e1/d1 vs e2/d2, exactly. */
+  private def compare(l1: (Long, Long), l2: (Long, Long)): Int = (l1._1 * l2._2).compare(l2._1 * l1._2)
 
   test("single edge: decision flips exactly at the surrogate value") {
     val g = LocalDigraph.fromPairs(Seq((1L, 2L)))
-    val a = 1.0
-    val sur = DigraphOps.surrogate(1, 1, 1, a) // = 1.0
-    assert(DensityFlow.bestAbove(g, sur - 0.01, a).isDefined)
-    assert(DensityFlow.bestAbove(g, sur, a).isEmpty)
-    assert(DensityFlow.bestAbove(g, sur + 0.01, a).isEmpty)
+    // at a = 1 the edge has level E/(|S| + |T|) = 1/2
+    assert(DensityFlow.bestAbove(g, 1, 2, 1, 1).isEmpty)
+    for (k <- Seq(1L, 10L, 1000000L)) {
+      assert(DensityFlow.bestAbove(g, k * 1 - 1, k * 2, 1, 1).isDefined, s"k=$k")
+      assert(DensityFlow.bestAbove(g, k * 1 + 1, k * 2, 1, 1).isEmpty, s"k=$k")
+    }
   }
 
   test("extraction at g=0 returns a pair with positive surrogate") {
     val g = TestGraphs.randomLocal(8, 14, seed = 3)
-    val c = DensityFlow.bestAbove(g, 0.0, 1.0)
+    val c = DensityFlow.bestAbove(g, 0, 1, 1, 1)
     assert(c.isDefined)
-    assert(c.get.surrogate(1.0) > 0.0)
+    assert(c.get.m > 0)
   }
 
   test("networkNodes counts 2 + |S| + |T|") {
@@ -29,44 +40,51 @@ class DensityFlowSpec extends AnyFunSuite {
     assert(DensityFlow.networkNodes(g) === 2 + g.sSize + g.tSize)
   }
 
-  /** max over all (S,T) of E(S,T) − c_S|S| − c_T|T| (0 at S = T = ∅), by enumeration. */
-  private def bruteObjectiveMax(g: LocalDigraph, cS: Double, cT: Double): Double = {
+  test("a network whose capacities pass the Long range throws") {
+    val g = LocalDigraph.fromPairs(Seq((1L, 2L), (1L, 3L), (2L, 3L)))
+    // d·m = 3·(2⁶³/2) overflows
+    intercept[ArithmeticException](DensityFlow.bestAbove(g, 1, Long.MaxValue / 2, 1, 1))
+    intercept[ArithmeticException](DensityFlow.maxflow(g, 1, Long.MaxValue / 2, 1, 1))
+    intercept[ArithmeticException](DensityFlow.bestAbove(g, Long.MaxValue / 2, 1, 3, 1))
+  }
+
+  /** max over all (S,T) of d·E(S,T) − e·(q|S| + p|T|) (0 at S = T = ∅), by enumeration. */
+  private def bruteObjectiveMax(g: LocalDigraph, e: Long, d: Long, p: Long, q: Long): Long = {
     val outMask = new Array[Int](g.n)
     for (i <- 0 until g.m) outMask(g.src(i)) |= 1 << g.dst(i)
-    var best = 0.0
+    var best = 0L
     for (s <- 0 until (1 << g.n); t <- 0 until (1 << g.n)) {
-      val e = (0 until g.n).filter(u => (s & (1 << u)) != 0).map(u => Integer.bitCount(outMask(u) & t)).sum
-      best = math.max(best, e - cS * Integer.bitCount(s) - cT * Integer.bitCount(t))
+      val es = (0 until g.n).filter(u => (s & (1 << u)) != 0).map(u => Integer.bitCount(outMask(u) & t)).sum
+      best = math.max(best, d * es - e * (q * Integer.bitCount(s) + p * Integer.bitCount(t)))
     }
     best
   }
 
-  for (seed <- 1 to 10; a <- Seq(0.5, 1.0, 3.0)) {
-    test(s"m − maxflow equals the brute-force cut objective (seed=$seed a=$a)") {
+  for (seed <- 1 to 10; (p, q) <- Seq((1L, 2L), (1L, 1L), (3L, 1L))) {
+    test(s"m − maxflow equals the brute-force cut objective (seed=$seed a=${p.toDouble / q})") {
       val g = TestGraphs.randomLocal(6 + seed % 2, 5 + seed, 400 + seed)
-      val opt = BruteForce.surrogateMax(g, a)
-      for (gv <- Seq(0.0, opt * 0.5, opt * 0.9, opt, opt * 1.5 + 1.0)) {
-        val cS = gv / (2.0 * math.sqrt(a))
-        val cT = gv * math.sqrt(a) / 2.0
-        val expected = bruteObjectiveMax(g, cS, cT)
-        val got = g.m - DensityFlow.maxflow(g, gv, a)
-        assert(math.abs(got - expected) < 1e-9, s"g=$gv: m − flow = $got, objective max = $expected")
+      val (oe, od) = BruteForce.surrogateLevel(g, p, q)
+      // the levels 0, ½·opt, 0.9·opt, opt and 1.5·opt + ½
+      for ((e, d) <- Seq((0L, 1L), (oe, 2 * od), (9 * oe, 10 * od), (oe, od), (3 * oe + od, 2 * od))) {
+        val expected = bruteObjectiveMax(g, e, d, p, q)
+        assert(d * g.m - DensityFlow.maxflow(g, e, d, p, q) === expected, s"level $e/$d")
       }
     }
   }
 
-  for (seed <- 1 to 12; a <- Seq(0.5, 1.0, 2.0)) {
-    test(s"decision matches brute-force surrogate max (seed=$seed a=$a)") {
+  for (seed <- 1 to 12; (p, q) <- Seq((1L, 2L), (1L, 1L), (2L, 1L))) {
+    test(s"decision matches brute-force surrogate max (seed=$seed a=${p.toDouble / q})") {
       val g = TestGraphs.randomLocal(7, 4 + seed, seed)
       if (g.m > 0) {
-        val opt = BruteForce.surrogateMax(g, a)
-        // strictly below opt: must find something better
-        val below = DensityFlow.bestAbove(g, opt * 0.999 - 1e-9, a)
-        assert(below.isDefined, s"expected a pair above ${opt * 0.999}")
-        assert(below.get.surrogate(a) > opt * 0.999 - 1e-9)
+        val opt @ (oe, od) = BruteForce.surrogateLevel(g, p, q)
+        // just below opt: must find something better
+        val below = (1000 * oe - 1, 1000 * od)
+        val found = DensityFlow.bestAbove(g, below._1, below._2, p, q)
+        assert(found.isDefined, s"expected a pair above $below")
+        assert(compare(level(found.get, p, q), below) > 0)
         // at/above opt: must find nothing
-        assert(DensityFlow.bestAbove(g, opt, a).isEmpty, s"opt=$opt")
-        assert(DensityFlow.bestAbove(g, opt * 1.001 + 1e-9, a).isEmpty)
+        assert(DensityFlow.bestAbove(g, oe, od, p, q).isEmpty, s"opt=$opt")
+        assert(DensityFlow.bestAbove(g, 1000 * oe + 1, 1000 * od, p, q).isEmpty)
       }
     }
   }
@@ -75,40 +93,39 @@ class DensityFlowSpec extends AnyFunSuite {
     test(s"extracted pair is the exact surrogate argmax after Dinkelbach (seed=$seed)") {
       val g = TestGraphs.randomLocal(7, 6 + seed, 50 + seed)
       if (g.m > 0) {
-        val a = 1.0 + (seed % 3) * 0.5
-        // Dinkelbach iteration from 0 must converge to the brute-force optimum.
-        var gCur = 0.0
-        var cand = Option.empty[repro.core.Candidate]
+        val (p, q) = Seq((1L, 1L), (3L, 2L), (2L, 1L))(seed % 3) // a = 1 + (seed % 3)·0.5
+        // Dinkelbach iteration from level 0 must converge to the brute-force optimum.
+        var cur = (0L, 1L)
+        var cand = Option.empty[Candidate]
         var continue = true
         var iters = 0
         while (continue) {
           iters += 1
           assert(iters < 100)
-          DensityFlow.bestAbove(g, gCur, a) match {
-            case Some(c) => cand = Some(c); gCur = c.surrogate(a)
+          DensityFlow.bestAbove(g, cur._1, cur._2, p, q) match {
+            case Some(c) => cand = Some(c); cur = level(c, p, q)
             case None    => continue = false
           }
         }
-        val opt = BruteForce.surrogateMax(g, a)
+        val opt = BruteForce.surrogateLevel(g, p, q)
         assert(cand.isDefined)
-        assert(math.abs(cand.get.surrogate(a) - opt) < 1e-9,
-          s"got ${cand.get.surrogate(a)} expected $opt")
+        assert(compare(cur, opt) === 0, s"got $cur expected $opt")
       }
     }
   }
 
   test("empty subgraph: no answer") {
-    assert(DensityFlow.bestAbove(LocalDigraph.fromPairs(Nil), 0.0, 1.0).isEmpty)
+    assert(DensityFlow.bestAbove(LocalDigraph.fromPairs(Nil), 0, 1, 1, 1).isEmpty)
   }
 
   test("full bipartite block: argmax at matching ratio is the whole block") {
-    // 3x2 complete bipartite: surrogate at a=3/2 equals density sqrt(6)=2.449...
+    // 3x2 complete bipartite at a = 3/2: level 6/(2·3 + 3·2) = 6/12, the
+    // surrogate 2√6·6/12 = √6 = the density
     val pairs = for (i <- 0 until 3; j <- 0 until 2) yield (i.toLong, (10 + j).toLong)
     val g = LocalDigraph.fromPairs(pairs)
-    val a = 1.5
-    val c = DensityFlow.bestAbove(g, math.sqrt(6.0) - 0.01, a)
+    val c = DensityFlow.bestAbove(g, 100 * 6 - 1, 100 * 12, 3, 2)
     assert(c.isDefined)
     assert(c.get.sSize === 3 && c.get.tSize === 2 && c.get.m === 6)
-    assert(DensityFlow.bestAbove(g, math.sqrt(6.0) + 1e-9, a).isEmpty)
+    assert(DensityFlow.bestAbove(g, 6, 12, 3, 2).isEmpty)
   }
 }

@@ -76,6 +76,23 @@ object BruteForce {
     best
   }
 
+  /** The maximum level E(S,T)/(q|S| + p|T|) over all pairs at ratio p/q, as
+    * (E, q|S| + p|T|) of a maximizing pair, compared in integers; (0, 1)
+    * for a graph with no edge. The surrogate ρ'_{p/q} is 2√(pq) times it.
+    */
+  def surrogateLevel(g: LocalDigraph, p: Long, q: Long): (Long, Long) = {
+    require(g.n <= 14, s"limited to n<=14, got ${g.n}")
+    val outMask = new Array[Int](g.n)
+    for (i <- 0 until g.m) outMask(g.src(i)) |= 1 << g.dst(i)
+    var best = (0L, 1L)
+    for (s <- 1 until (1 << g.n); t <- 1 until (1 << g.n)) {
+      val e = (0 until g.n).filter(u => (s & (1 << u)) != 0).map(u => Integer.bitCount(outMask(u) & t)).sum.toLong
+      val d = q * Integer.bitCount(s) + p * Integer.bitCount(t)
+      if (e * best._2 > best._1 * d) best = (e, d)
+    }
+    best
+  }
+
   /** The (x,y) maximizing x·y among those with a non-empty [x,y]-core. */
   def maxXYGrid(g: LocalDigraph): Option[(Int, Int)] = {
     if (g.m == 0) return None
