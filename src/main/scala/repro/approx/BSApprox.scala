@@ -1,8 +1,8 @@
 package repro.approx
 
 import org.apache.spark.sql.DataFrame
-import repro.core.{LocalXYCore, XYCore}
-import repro.graph.{DigraphOps, LocalDigraph}
+import repro.core.LocalXYCore
+import repro.graph.{DigraphOps, EdgeScan, LocalDigraph}
 
 /** Bahmani-style batch-peeling approximation (the natural dataflow
   * baseline: the original was designed for MapReduce).
@@ -10,9 +10,11 @@ import repro.graph.{DigraphOps, LocalDigraph}
   * For each ratio a on a geometric grid: start with S = sources,
   * T = destinations; each round removes, from the side chosen by comparing
   * |S| to a·|T|, every vertex whose degree is ≤ (1+ε)·(average degree of
-  * that side). Each round is one Spark job (filter cached base edges by
-  * broadcast alive sets, one exploded degree aggregation); a constant
-  * fraction of the side disappears per round, so rounds are O(log n).
+  * that side). Each round is one narrow pass over the cached base edges,
+  * the same pass as ``XYCore``'s rounds: [[EdgeScan.allDegrees]] once for
+  * the whole graph, [[EdgeScan.degrees]] of the alive sets after it. A
+  * constant fraction of the side disappears per round, so rounds are
+  * O(log n).
   * Tracks the best true density over all intermediate states.
   */
 object BSApprox {
@@ -27,49 +29,38 @@ object BSApprox {
     val t0 = System.nanoTime()
     def elapsed = (System.nanoTime() - t0) / 1000000L
     val base = DigraphOps.canonicalize(edges0).cache()
-    val m0 = base.count()
-    if (m0 == 0) return ApproxResult("BSApprox", 0.0, 0, 0, elapsed, "empty")
-    val nS0 = base.select("src").distinct().count()
-    val nT0 = base.select("dst").distinct().count()
+    // every source and destination with its degree: each ratio's first round
+    val whole = EdgeScan.allDegrees(base)
+    if (whole.m == 0) {
+      base.unpersist()
+      return ApproxResult("BSApprox", 0.0, 0, 0, elapsed, "empty")
+    }
 
     var best = 0.0
     var bestS = 0L
     var bestT = 0L
     var budgetHit = false
 
-    var a = 1.0 / nT0
-    val hi = nS0.toDouble
+    var a = 1.0 / whole.t.length
+    val hi = whole.s.length.toDouble
     while (a <= hi * gridFactor && !budgetHit) {
-      var sAlive: Array[Long] = null
-      var tAlive: Array[Long] = null
+      var alive: (Array[Long], Array[Long]) = null // null = the whole graph
       var live = true
       while (live && !budgetHit) {
         if (elapsed > wallBudgetMs) budgetHit = true
         else {
-          val cur = if (sAlive == null) base else DigraphOps.pairSubgraph(base, sAlive, tAlive)
-          val rows = XYCore.degreeRows(cur)
-          val sDeg = rows.filter(_._2 == 0)
-          val tDeg = rows.filter(_._2 == 1)
-          if (sDeg.isEmpty || tDeg.isEmpty) live = false
+          val d = if (alive == null) whole else EdgeScan.degrees(base, alive._1, alive._2)
+          if (d.m == 0) live = false
           else {
-            val m = sDeg.map(_._3).sum
-            val sN = sDeg.length.toLong
-            val tN = tDeg.length.toLong
-            val d = DigraphOps.density(m, sN, tN)
-            if (d > best) { best = d; bestS = sN; bestT = tN }
-            if (sN.toDouble >= a * tN) {
-              val thr = (1.0 + eps) * m / sN
-              val keep = sDeg.filter(_._3 > thr).map(_._1)
-              sAlive = keep
-              tAlive = tDeg.map(_._1)
-              if (keep.isEmpty) live = false
-            } else {
-              val thr = (1.0 + eps) * m / tN
-              val keep = tDeg.filter(_._3 > thr).map(_._1)
-              tAlive = keep
-              sAlive = sDeg.map(_._1)
-              if (keep.isEmpty) live = false
-            }
+            // S and T are the alive vertices with an edge left
+            val sN = d.out.count(_ > 0).toLong
+            val tN = d.in.count(_ > 0).toLong
+            val dens = DigraphOps.density(d.m, sN, tN)
+            if (dens > best) { best = dens; bestS = sN; bestT = tN }
+            val sSide = sN.toDouble >= a * tN
+            val thr = (1.0 + eps) * d.m / (if (sSide) sN else tN)
+            alive = if (sSide) (d.sOver(thr), d.tOver(0)) else (d.sOver(0), d.tOver(thr))
+            if (alive._1.isEmpty || alive._2.isEmpty) live = false
           }
         }
       }

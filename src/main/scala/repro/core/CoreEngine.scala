@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import scala.collection.mutable.ArrayBuffer
-import repro.graph.{DigraphOps, LocalDigraph}
+import repro.graph.{DigraphOps, EdgeScan, LocalDigraph}
 
 /** A computed [x,y]-core: side sizes and edge count up front, edges
   * materialized lazily (flow networks need them, size probes do not).
@@ -112,7 +112,10 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
   private lazy val whole: Option[LocalCoreEngine] =
     Option.when(m <= localCutoff)(new LocalCoreEngine(LocalDigraph.fromEdges(base)))
 
-  lazy val n: Long = whole.fold(DigraphOps.vertices(base).count())(_.n)
+  lazy val n: Long = whole.fold {
+    val d = EdgeScan.allDegrees(base) // every vertex is a source or a destination
+    Array.concat(d.s, d.t).distinct.length.toLong
+  }(_.n)
 
   // canonical edges have no isolated vertex: the graph is its own [1,1]-core
   def fullSub(): LocalDigraph = whole.fold(LocalDigraph.fromEdges(base))(_.fullSub())

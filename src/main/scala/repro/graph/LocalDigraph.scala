@@ -123,11 +123,16 @@ object LocalDigraph {
 
   /** Collect a canonical edge DataFrame (columns src, dst; no self-loops or
     * duplicates, see [[DigraphOps.canonicalize]]) to the driver, keeping
-    * its row order.
+    * its row order: one narrow [[EdgeScan]] pass.
     */
-  def fromEdges(edges: DataFrame): LocalDigraph = {
-    val rows = edges.select("src", "dst").collect()
-    fromClean(rows.map(_.getLong(0)), rows.map(_.getLong(1)))
+  def fromEdges(edges: DataFrame): LocalDigraph = fromEdges(edges, null, null)
+
+  /** Collect the pair-subgraph E(s,t) of a canonical edge DataFrame (``s``
+    * and ``t`` sorted and distinct; both null for every edge).
+    */
+  def fromEdges(edges: DataFrame, s: Array[Long], t: Array[Long]): LocalDigraph = {
+    val (src, dst) = EdgeScan.edges(edges, s, t)
+    fromClean(src, dst)
   }
 
   /** Build from edges ``src(i) → dst(i)`` already known self-loop-free and

@@ -1,8 +1,11 @@
 package repro.core
 
+import org.apache.spark.JobExecutionStatus
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{array, col, count, explode, lit, struct}
 import repro.{Oracle, SparkSpec, TestGraphs}
-import repro.graph.{DigraphOps, LocalDigraph}
+import repro.graph.{DigraphOps, EdgeScan, LocalDigraph}
+import scala.util.Random
 
 /** The Spark DataFrame peeling vs the reference peeler, plus DuckDB checks. */
 class XYCoreSparkSpec extends SparkSpec {
@@ -219,5 +222,122 @@ class XYCoreSparkSpec extends SparkSpec {
         }
       }
     } finally engine.release()
+  }
+
+  /** Degree rows of an edge frame by a DataFrame plan: (id, side 0=src/1=dst, cnt). */
+  private def degreeRows(cur: DataFrame): Array[(Long, Int, Long)] = {
+    val exploded = cur.select(
+      explode(array(
+        struct(col("src").as("id"), lit(0).as("side")),
+        struct(col("dst").as("id"), lit(1).as("side"))
+      )).as("v")
+    ).select(col("v.id").as("id"), col("v.side").as("side"))
+    exploded
+      .groupBy("id", "side")
+      .agg(count(lit(1)).as("cnt"))
+      .collect()
+      .map(r => (r.getLong(0), r.getInt(1), r.getLong(2)))
+  }
+
+  /** EdgeScan's pass over E(s,t) of ``frame`` against the DataFrame plan:
+    * degrees and m against ``degreeRows(pairSubgraph)``, edges against
+    * ``pairSubgraph``.
+    */
+  private def checkScan(frame: DataFrame, s: Array[Long], t: Array[Long], what: String): Unit = {
+    val sub = DigraphOps.pairSubgraph(frame, s, t)
+    val rows = degreeRows(sub)
+    def expected(side: Int, ids: Array[Long]): Seq[Long] = {
+      val deg = rows.collect { case (id, `side`, c) => id -> c }.toMap
+      ids.toSeq.map(deg.getOrElse(_, 0L))
+    }
+    val d = EdgeScan.degrees(frame, s, t)
+    assert(d.s.toSeq === s.toSeq && d.t.toSeq === t.toSeq, what)
+    assert(d.out.toSeq.map(_.toLong) === expected(0, s), s"$what out")
+    assert(d.in.toSeq.map(_.toLong) === expected(1, t), s"$what in")
+    assert(d.m === rows.collect { case (_, 0, c) => c }.sum, s"$what m")
+    val subPairs = sub.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq.sorted
+    val (src, dst) = EdgeScan.edges(frame, s, t)
+    assert(src.toSeq.zip(dst.toSeq).sorted === subPairs, s"$what edges")
+    assert(TestGraphs.edgePairs(LocalDigraph.fromEdges(frame, s, t)).sorted === subPairs, s"$what collect")
+  }
+
+  for ((name, pairs) <- Seq("random" -> TestGraphs.randomPairs(30, 120, seed = 41),
+                            "skewed" -> TestGraphs.skewedPairs(60, 300, seed = 42))) {
+    test(s"narrow passes equal degreeRows and pairSubgraph on random alive sets ($name graph)") {
+      val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
+      val m = base.count()
+      // more partitions than edges: most tasks see no row
+      val wide = base.repartition(m.toInt + 17).cache()
+      assert(wide.queryExecution.toRdd.getNumPartitions > m)
+      val ids = pairs.flatMap(p => Seq(p._1, p._2)).distinct
+      val absent = Seq(-3L, 0L, 10000L, Long.MaxValue) // no edge touches these
+      val rnd = new Random(43)
+      def subset(p: Double): Array[Long] = (ids ++ absent).filter(_ => rnd.nextDouble() < p).sorted.toArray
+      for ((frame, fname) <- Seq(base -> "base", wide -> "wide")) {
+        // the pass over every edge finds exactly degreeRows' ids and counts
+        val all = EdgeScan.allDegrees(frame)
+        val rows = degreeRows(frame)
+        def side(k: Int) = rows.filter(_._2 == k).sortBy(_._1).toSeq
+        assert(all.s.toSeq.zip(all.out.map(_.toLong)) === side(0).map(r => (r._1, r._3)), fname)
+        assert(all.t.toSeq.zip(all.in.map(_.toLong)) === side(1).map(r => (r._1, r._3)), fname)
+        assert(all.m === m, fname)
+        for (p <- Seq(0.3, 0.7, 1.0); k <- 1 to 2) checkScan(frame, subset(p), subset(p), s"$fname p=$p #$k")
+      }
+      checkScan(base, Array.empty, subset(1.0), "empty S")
+      checkScan(base, subset(1.0), Array.empty, "empty T")
+      checkScan(wide, absent.toArray, absent.toArray, "only absent ids")
+      wide.unpersist()
+      base.unpersist()
+    }
+  }
+
+  /** The number of stages each job that ``body`` runs has run, read from
+    * the status tracker. The scheduler also lists the stages of a cached
+    * frame's own lineage under a job that reads the cache, as skipped
+    * stages that never start; a job with no shuffle runs one stage.
+    */
+  private def jobShapes(body: => Unit): Seq[Int] = {
+    val sc = spark.sparkContext
+    val tracker = sc.statusTracker
+    val group = s"shape-${Random.nextLong()}"
+    sc.setJobGroup(group, group)
+    try body finally sc.clearJobGroup()
+    // the tracker learns of jobs from listener events, in order: once a
+    // marker job run after them shows as finished, so do they
+    val marker = group + "-marker"
+    sc.setJobGroup(marker, marker)
+    try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+    val deadline = System.nanoTime() + 30000000000L
+    while (!tracker.getJobIdsForGroup(marker).flatMap(tracker.getJobInfo(_))
+             .exists(_.status == JobExecutionStatus.SUCCEEDED)) {
+      assert(System.nanoTime() < deadline, "the status tracker never saw the marker job")
+      Thread.sleep(10)
+    }
+    tracker.getJobIdsForGroup(group).sorted.toSeq.map { job =>
+      tracker.getJobInfo(job).get.stageIds.count(tracker.getStageInfo(_).exists(_.submissionTime > 0))
+    }
+  }
+
+  test("a narrow round is one job with one stage; a call that starts at its core runs one job") {
+    val pairs = TestGraphs.skewedPairs(60, 300, seed = 44)
+    val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
+    base.count()
+    val c22 = peel(base, 2, 2)
+    assert(c22.nonEmpty)
+    assert(jobShapes(EdgeScan.degrees(base, c22.s, c22.t)) === Seq(1))
+    assert(jobShapes(LocalDigraph.fromEdges(base, c22.s, c22.t)) === Seq(1))
+    assert(jobShapes(LocalDigraph.fromEdges(base)) === Seq(1))
+    // warm-started at its own core: one narrow round proves the fixpoint
+    var warm: Candidate = null
+    assert(jobShapes { warm = peel(base, 2, 2, Some(c22)) } === Seq(1))
+    assert(warm.s.toSeq === c22.s.toSeq && warm.t.toSeq === c22.t.toSeq && warm.m === c22.m)
+    // no vertex of a canonical graph is below [1,1]: the cold round is the fixpoint
+    var c11: Candidate = null
+    assert(jobShapes { c11 = peel(base, 1, 1) } === Seq(1))
+    assert(c11.m === base.count())
+    // a cold peel whose first round removes vertices: every round is narrow
+    val shapes = jobShapes(peel(base, 3, 2))
+    assert(shapes.size >= 2 && shapes.forall(_ == 1), shapes)
+    base.unpersist()
   }
 }

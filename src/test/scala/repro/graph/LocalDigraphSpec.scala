@@ -85,4 +85,11 @@ class LocalDigraphSpec extends AnyFunSuite {
     val g = LocalDigraph.fromEdges(TestGraphs.df(spark, pairs))
     assert(TestGraphs.edgePairs(g).toSet === pairs.toSet)
   }
+
+  test("fromEdges rejects a frame that is not canonical edges") {
+    val spark = repro.SparkSpec.shared
+    import spark.implicits._
+    intercept[IllegalArgumentException](LocalDigraph.fromEdges(Seq((1, 2)).toDF("src", "dst")))
+    intercept[IllegalArgumentException](LocalDigraph.fromEdges(Seq((1L, 2L)).toDF("dst", "src")))
+  }
 }
