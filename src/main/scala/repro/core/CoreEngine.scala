@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import scala.collection.mutable.ArrayBuffer
-import repro.graph.{DigraphOps, EdgeScan, LocalDigraph}
+import repro.graph.{DigraphOps, EdgeScan, LocalDigraph, PairDegrees}
 
 /** A computed [x,y]-core: side sizes and edge count up front, edges
   * materialized lazily (flow networks need them, size probes do not).
@@ -91,19 +91,25 @@ final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
   * answer inside it (nestedness), so it is served without a Spark job. A
   * graph within the cutoff is its own [1,1]-core, collected once at the
   * first use of ``n``, ``fullSub`` or ``core``, and then serves every query.
+  * Above the cutoff, the whole graph's degrees that ``n`` reads are kept:
+  * the graph is its own [1,1]-core, so a cold call peels from them, and a
+  * call warm-started from a Spark-peeled core peels from that core's
+  * degrees. No call scans the edges for degrees the driver already holds.
   */
 final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) extends CoreEngine {
   /** Canonicalized, cached base edge set all cores derive from. */
   val base: DataFrame = DigraphOps.canonicalize(edges0).cache()
 
-  /** A Spark-peeled core; ``local`` is its cache entry, if it got one. */
-  private final case class H(x: Int, y: Int, core: Candidate, local: Option[LocalCoreEngine])
-      extends CoreHandle {
-    def sSize: Long = core.sSize.toLong
-    def tSize: Long = core.tSize.toLong
-    def m: Long     = core.m
-    def sub(): LocalDigraph = local.fold(XYCore.collectSub(base, core))(_.fullSub())
-    def candidate(): Candidate = core
+  /** A core this engine peeled: its exact degrees when it reached its
+    * fixpoint in Spark (always above the cutoff), or its edges when it was
+    * finished on the driver.
+    */
+  private[core] final case class H(x: Int, y: Int, core: Either[PairDegrees, LocalDigraph]) extends CoreHandle {
+    def sSize: Long = core.fold(_.s.length, _.sSize).toLong
+    def tSize: Long = core.fold(_.t.length, _.tSize).toLong
+    def m: Long     = core.fold(_.m, _.m.toLong)
+    def sub(): LocalDigraph = core.fold(_ => XYCore.collectSub(base, candidate()), identity)
+    def candidate(): Candidate = core.fold(d => Candidate(d.s, d.t, d.m), Candidate.of)
   }
 
   /** Edge count; this first action also fills the cache of ``base``. */
@@ -112,10 +118,11 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
   private lazy val whole: Option[LocalCoreEngine] =
     Option.when(m <= localCutoff)(new LocalCoreEngine(LocalDigraph.fromEdges(base)))
 
-  lazy val n: Long = whole.fold {
-    val d = EdgeScan.allDegrees(base) // every vertex is a source or a destination
-    Array.concat(d.s, d.t).distinct.length.toLong
-  }(_.n)
+  /** Every source and destination with its degree (read above the cutoff only). */
+  private lazy val all: PairDegrees = EdgeScan.allDegrees(base)
+
+  // every vertex is a source or a destination
+  lazy val n: Long = whole.fold(all.vertexCount)(_.n)
 
   // canonical edges have no isolated vertex: the graph is its own [1,1]-core
   def fullSub(): LocalDigraph = whole.fold(LocalDigraph.fromEdges(base))(_.fullSub())
@@ -127,19 +134,18 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
     CoreEngine.requireWarm(x, y, warm)
     cached.find(c => c.x <= x && c.y <= y) match {
       case Some(c) =>
-        // local handles warm-start each other; Spark handles (H) are ignored
+        // local handles warm-start each other; this engine's handles (H) are ignored
         c.engine.core(x, y, warm.filterNot(_.isInstanceOf[H]))
       case None =>
-        val peeled = XYCore.peel(base, x, y, warm.collect { case h: H => h.core }, localCutoff)
-        val core = peeled.fold(identity, Candidate.of)
-        if (core.isEmpty) None
+        val peeled = warm match {
+          case Some(H(_, _, Left(d)))  => XYCore.peel(base, x, y, d, localCutoff)
+          case Some(H(_, _, Right(g))) => Right(LocalXYCore.peel(g, x, y)) // a core the full cache left out
+          case _                       => XYCore.peel(base, x, y, all, localCutoff)
+        }
+        if (peeled.fold(_.m == 0, _.isEmpty)) None
         else {
-          val entry = Option.when(core.m <= localCutoff && cached.size < 8) {
-            val e = new LocalCoreEngine(peeled.getOrElse(XYCore.collectSub(base, core)))
-            cached += Cached(x, y, e)
-            e
-          }
-          Some(H(x, y, core, entry))
+          peeled.foreach(g => if (cached.size < 8) cached += Cached(x, y, new LocalCoreEngine(g)))
+          Some(H(x, y, peeled))
         }
     }
   }

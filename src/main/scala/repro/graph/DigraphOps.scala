@@ -34,18 +34,6 @@ object DigraphOps {
   def inDegrees(edges: DataFrame): DataFrame =
     edges.groupBy(col("dst").as("id")).agg(count(lit(1)).as("deg"))
 
-  /** Edges from S to T: semi-joins against vertex-id arrays. The id sets
-    * are expected to be small relative to the edge set, so we broadcast them
-    * explicitly (auto-broadcast is disabled session-wide).
-    */
-  def pairSubgraph(edges: DataFrame, s: Array[Long], t: Array[Long]): DataFrame = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    edges
-      .join(broadcast(s.toSeq.toDF("__s")), col("src") === col("__s"), "left_semi")
-      .join(broadcast(t.toSeq.toDF("__t")), col("dst") === col("__t"), "left_semi")
-  }
-
   /** Directed density ρ(S,T) = |E(S,T)| / sqrt(|S|·|T|) (Kannan–Vinay). */
   def density(m: Long, sSize: Long, tSize: Long): Double =
     if (sSize <= 0 || tSize <= 0) 0.0

@@ -19,9 +19,25 @@ final case class PairDegrees(s: Array[Long], out: Array[Int], t: Array[Long], in
 
   /** The ids of ``t`` whose in-degree exceeds ``bound``, ascending. */
   def tOver(bound: Double): Array[Long] = PairDegrees.over(t, in, bound)
+
+  /** |s ∪ t|, by one merge of the two sorted id arrays. */
+  def vertexCount: Long = {
+    var i = 0
+    var j = 0
+    var c = 0L
+    while (i < s.length || j < t.length) {
+      if (j == t.length || (i < s.length && s(i) < t(j))) i += 1
+      else if (i == s.length || t(j) < s(i)) j += 1
+      else { i += 1; j += 1 }
+      c += 1
+    }
+    c
+  }
 }
 
 object PairDegrees {
+  val empty: PairDegrees = PairDegrees(Array.empty, Array.empty, Array.empty, Array.empty, 0L)
+
   private def over(ids: Array[Long], deg: Array[Int], bound: Double): Array[Long] = {
     val out = ArrayBuilder.make[Long]
     var i = 0
@@ -42,7 +58,13 @@ object PairDegrees {
   * the driver sums or concatenates. Alive sets, sorted and distinct (the
   * ``Candidate`` invariant), ship as broadcast variables that are destroyed
   * after the job, and each task finds an edge's endpoints in them by
-  * binary search.
+  * binary search; [[positions]] returns those positions themselves, so a
+  * collected E(s,t) reaches the driver in index space.
+  *
+  * A pass's [[PairDegrees]] are exact, so they are kept rather than
+  * scanned for again: the engine keeps the whole graph's and each
+  * Spark-peeled core's, and [[repro.core.XYCore]] starts a core call from
+  * them.
   */
 object EdgeScan {
 
@@ -86,19 +108,31 @@ object EdgeScan {
     PairDegrees(s, out, t, in, parts.map(_._3).sum)
   }
 
-  /** The edges of E(s,t), or every edge when ``s`` and ``t`` are null, as
-    * (sources, destinations) in the frame's row order.
-    */
-  def edges(edges: DataFrame, s: Array[Long], t: Array[Long]): (Array[Long], Array[Long]) = {
-    val parts = scan(edges, s, t) { (rows, ss, ts) =>
+  /** Every edge, as (sources, destinations) in the frame's row order. */
+  def edges(edges: DataFrame): (Array[Long], Array[Long]) = {
+    val parts = scan(edges, null, null) { (rows, _, _) =>
       val src = ArrayBuilder.make[Long]
       val dst = ArrayBuilder.make[Long]
+      while (rows.hasNext) { val r = rows.next(); src += r.getLong(0); dst += r.getLong(1) }
+      (src.result(), dst.result())
+    }
+    (Array.concat(parts.map(_._1).toIndexedSeq: _*), Array.concat(parts.map(_._2).toIndexedSeq: _*))
+  }
+
+  /** The edges of E(s,t) in the frame's row order, as the positions of
+    * their endpoints in ``s`` and in ``t``: the positions the tasks find by
+    * binary search anyway, so the driver maps no id.
+    */
+  def positions(edges: DataFrame, s: Array[Long], t: Array[Long]): (Array[Int], Array[Int]) = {
+    val parts = scan(edges, s, t) { (rows, ss, ts) =>
+      val src = ArrayBuilder.make[Int]
+      val dst = ArrayBuilder.make[Int]
       while (rows.hasNext) {
         val r = rows.next()
-        val u = r.getLong(0)
-        val v = r.getLong(1)
-        if (ss == null || (java.util.Arrays.binarySearch(ss, u) >= 0 && java.util.Arrays.binarySearch(ts, v) >= 0)) {
-          src += u; dst += v
+        val i = java.util.Arrays.binarySearch(ss, r.getLong(0))
+        if (i >= 0) {
+          val j = java.util.Arrays.binarySearch(ts, r.getLong(1))
+          if (j >= 0) { src += i; dst += j }
         }
       }
       (src.result(), dst.result())

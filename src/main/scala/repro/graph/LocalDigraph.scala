@@ -125,14 +125,46 @@ object LocalDigraph {
     * duplicates, see [[DigraphOps.canonicalize]]) to the driver, keeping
     * its row order: one narrow [[EdgeScan]] pass.
     */
-  def fromEdges(edges: DataFrame): LocalDigraph = fromEdges(edges, null, null)
+  def fromEdges(edges: DataFrame): LocalDigraph = {
+    val (src, dst) = EdgeScan.edges(edges)
+    fromClean(src, dst)
+  }
 
   /** Collect the pair-subgraph E(s,t) of a canonical edge DataFrame (``s``
-    * and ``t`` sorted and distinct; both null for every edge).
+    * and ``t`` sorted and distinct), keeping its row order. The pass returns
+    * each edge's endpoints as positions in ``s`` and ``t``
+    * ([[EdgeScan.positions]]), and one merge of the two sorted arrays numbers
+    * the positions that have an edge: O(|s| + |t| + m), no sort, no search.
     */
   def fromEdges(edges: DataFrame, s: Array[Long], t: Array[Long]): LocalDigraph = {
-    val (src, dst) = EdgeScan.edges(edges, s, t)
-    fromClean(src, dst)
+    val (ps, pt) = EdgeScan.positions(edges, s, t)
+    val m = ps.length
+    // new index + 1 of each position of s and t; 0 = no edge there
+    val sIndex = new Array[Int](s.length)
+    val tIndex = new Array[Int](t.length)
+    var k = 0
+    while (k < m) { sIndex(ps(k)) = 1; tIndex(pt(k)) = 1; k += 1 }
+    // the used ids of s and t in ascending order; an id on both sides is one vertex
+    val ids = new Array[Long](s.length + t.length)
+    var n = 0
+    var i = 0
+    var j = 0
+    while (i < s.length || j < t.length) {
+      if (j == t.length || (i < s.length && s(i) < t(j))) {
+        if (sIndex(i) != 0) { ids(n) = s(i); n += 1; sIndex(i) = n }
+        i += 1
+      } else if (i == s.length || t(j) < s(i)) {
+        if (tIndex(j) != 0) { ids(n) = t(j); n += 1; tIndex(j) = n }
+        j += 1
+      } else {
+        if (sIndex(i) != 0 || tIndex(j) != 0) { ids(n) = s(i); n += 1; sIndex(i) = n; tIndex(j) = n }
+        i += 1; j += 1
+      }
+    }
+    // positions become vertex indices in place
+    k = 0
+    while (k < m) { ps(k) = sIndex(ps(k)) - 1; pt(k) = tIndex(pt(k)) - 1; k += 1 }
+    new LocalDigraph(n, ps, pt, java.util.Arrays.copyOf(ids, n))
   }
 
   /** Build from edges ``src(i) → dst(i)`` already known self-loop-free and

@@ -54,7 +54,7 @@ class SynthGraphsSpec extends SparkSpec {
     val e = SynthGraphs.planted(spark, n, 5000, 20, 30, 0.8, seed = 5).cache()
     val s = (1L to 20L).toArray
     val t = ((n - 30 + 1) to n).toArray
-    val blockEdges = DigraphOps.pairSubgraph(e, s, t).count()
+    val blockEdges = TestGraphs.pairSubgraph(e, s, t).count()
     // expect ~0.8 * 600 = 480 block edges plus a few background ones
     assert(blockEdges > 400, s"block edges $blockEdges")
     val density = DigraphOps.density(blockEdges, 20, 30)

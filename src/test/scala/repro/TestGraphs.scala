@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{broadcast, col}
 import repro.graph.{DigraphOps, LocalDigraph}
 import scala.util.Random
 
@@ -49,6 +50,18 @@ object TestGraphs {
 
   def df(spark: SparkSession, pairs: Seq[(Long, Long)]): DataFrame =
     DigraphOps.edgesDf(spark, pairs)
+
+  /** The pair-subgraph E(s,t) as a DataFrame plan: semi-joins against the
+    * id arrays, broadcast explicitly (the test session disables automatic
+    * broadcast joins). The form of E(s,t) that `EdgeScan` is checked against.
+    */
+  def pairSubgraph(edges: DataFrame, s: Array[Long], t: Array[Long]): DataFrame = {
+    val spark = edges.sparkSession
+    import spark.implicits._
+    edges
+      .join(broadcast(s.toSeq.toDF("__s")), col("src") === col("__s"), "left_semi")
+      .join(broadcast(t.toSeq.toDF("__t")), col("dst") === col("__t"), "left_semi")
+  }
 
   /** Skewed random digraph: preferential-style endpoints (hubs). */
   def skewedPairs(n: Int, m: Int, seed: Long): Seq[(Long, Long)] = {

