@@ -10,7 +10,7 @@ import repro.bench.{Datasets, Tables}
   */
 private[jobs] object JobSession {
   def get(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

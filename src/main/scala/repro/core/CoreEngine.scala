@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import scala.collection.mutable.ArrayBuffer
-import repro.graph.{DigraphOps, EdgeScan, LocalDigraph, PairDegrees}
+import repro.graph.{DigraphOps, EdgeScan, LocalDigraph}
 
 /** A computed [x,y]-core: side sizes and edge count up front, edges
   * materialized lazily (flow networks need them, size probes do not).
@@ -41,30 +41,43 @@ trait CoreEngine {
   def fullSub(): LocalDigraph
 
   /** The [x,y]-core, warm-started from a superset core when available
-    * (caller guarantees warm.x ≤ x and warm.y ≤ y). None if empty.
+    * (caller guarantees warm.x ≤ x and warm.y ≤ y). None if empty. An
+    * engine warm-starts only from a core it returned itself, and ignores
+    * any other handle.
     */
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle]
 }
 
 object CoreEngine {
 
-  /** The warm-start contract of [[CoreEngine.core]], checked by every engine. */
-  def requireWarm(x: Int, y: Int, warm: Option[CoreHandle]): Unit =
+  /** The pair of ``warm`` if ``engine`` returned it, after checking the
+    * warm-start contract of [[CoreEngine.core]] (which holds for any handle).
+    */
+  private[core] def ownWarm(engine: CoreEngine, x: Int, y: Int, warm: Option[CoreHandle]): Option[PairState] = {
     warm.foreach { w =>
       require(w.x <= x && w.y <= y, s"invalid warm start [${w.x},${w.y}] for [$x,$y]")
     }
+    warm.collect { case h: PairCore if h.owner eq engine => h.pair }
+  }
+}
+
+/** The one [[CoreHandle]]: a non-empty core as the [[PairState]] its
+  * engine's peel returned (its exact degrees while its edges are still in
+  * Spark, its edges once on the driver), with the engine that made it.
+  * ``edges`` fetches the core's edges on the driver.
+  */
+final class PairCore private[core] (val x: Int, val y: Int, val pair: PairState,
+                                   private[core] val owner: CoreEngine, edges: => LocalDigraph)
+    extends CoreHandle {
+  def sSize: Long = pair.fold(_.s.length, _.sSize).toLong
+  def tSize: Long = pair.fold(_.t.length, _.tSize).toLong
+  def m: Long     = pair.fold(_.m, _.m.toLong)
+  def sub(): LocalDigraph = edges
+  def candidate(): Candidate = pair.fold(d => Candidate(d.s, d.t, d.m), Candidate.of)
 }
 
 /** Reference engine over a driver-local digraph. */
 final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
-  private final case class H(x: Int, y: Int, g: LocalDigraph) extends CoreHandle {
-    def sSize: Long = g.sSize.toLong
-    def tSize: Long = g.tSize.toLong
-    def m: Long     = g.m.toLong
-    def sub(): LocalDigraph = g
-    def candidate(): Candidate = Candidate.of(g)
-  }
-
   def n: Long = g.n.toLong
   def m: Long = g.m.toLong
 
@@ -73,80 +86,63 @@ final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
   def fullSub(): LocalDigraph = full
 
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
-    CoreEngine.requireWarm(x, y, warm)
-    val host = warm match {
-      case Some(h: H) => h.g
-      case _          => g // foreign handle: ignore warm start
-    }
-    val core = LocalXYCore.peel(host, x, y)
-    if (core.isEmpty) None else Some(H(x, y, core))
+    // this engine's cores are all on the driver
+    val from = CoreEngine.ownWarm(this, x, y, warm).flatMap(_.toOption).getOrElse(g)
+    val core = LocalXYCore.peel(from, x, y)
+    if (core.isEmpty) None else Some(new PairCore(x, y, Right(core), this, core))
   }
 }
 
-/** Production engine: Spark DataFrame iterative peeling over cached edges.
+/** Production engine: Spark iterative peeling over cached edges.
   *
   * ``localCutoff`` — see [[XYCore.peel]]. A core with at most this many
-  * edges reaches the driver once and is kept as an in-memory engine over
-  * its edges: a query at (x,y) dominating that core's (cx,cy) has its
-  * answer inside it (nestedness), so it is served without a Spark job. A
-  * graph within the cutoff is its own [1,1]-core, collected once at the
-  * first use of ``n``, ``fullSub`` or ``core``, and then serves every query.
-  * Above the cutoff, the whole graph's degrees that ``n`` reads are kept:
-  * the graph is its own [1,1]-core, so a cold call peels from them, and a
-  * call warm-started from a Spark-peeled core peels from that core's
-  * degrees. No call scans the edges for degrees the driver already holds.
+  * edges reaches the driver once and is kept there as a ``LocalDigraph``,
+  * up to 8 of them: a query at (x,y) dominating that core's (cx,cy) has
+  * its answer inside it (nestedness), so it is peeled there without a
+  * Spark job. A graph within the cutoff is its own [1,1]-core, collected
+  * once at the first use of ``n``, ``fullSub`` or ``core``, and kept the
+  * same way. Above the cutoff, the whole graph's degrees that ``n`` reads
+  * are kept.
+  *
+  * A call peels, with [[XYCore.peel]], the tightest pair known to contain
+  * its core: the smallest driver core among its warm handle and the kept
+  * cores below (x,y); failing that, its warm handle's degrees; failing
+  * that, the whole graph's degrees (the graph is its own [1,1]-core). Only
+  * handles this engine returned count as warm starts. No call scans the
+  * edges for degrees the driver already holds.
   */
 final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) extends CoreEngine {
   /** Canonicalized, cached base edge set all cores derive from. */
   val base: DataFrame = DigraphOps.canonicalize(edges0).cache()
 
-  /** A core this engine peeled: its exact degrees when it reached its
-    * fixpoint in Spark (always above the cutoff), or its edges when it was
-    * finished on the driver.
-    */
-  private[core] final case class H(x: Int, y: Int, core: Either[PairDegrees, LocalDigraph]) extends CoreHandle {
-    def sSize: Long = core.fold(_.s.length, _.sSize).toLong
-    def tSize: Long = core.fold(_.t.length, _.tSize).toLong
-    def m: Long     = core.fold(_.m, _.m.toLong)
-    def sub(): LocalDigraph = core.fold(_ => XYCore.collectSub(base, candidate()), identity)
-    def candidate(): Candidate = core.fold(d => Candidate(d.s, d.t, d.m), Candidate.of)
-  }
-
   /** Edge count; this first action also fills the cache of ``base``. */
   lazy val m: Long = base.count()
 
-  private lazy val whole: Option[LocalCoreEngine] =
-    Option.when(m <= localCutoff)(new LocalCoreEngine(LocalDigraph.fromEdges(base)))
+  private lazy val whole: Option[LocalDigraph] = Option.when(m <= localCutoff)(LocalDigraph.fromEdges(base))
 
   /** Every source and destination with its degree (read above the cutoff only). */
-  private lazy val all: PairDegrees = EdgeScan.allDegrees(base)
+  private lazy val all = EdgeScan.allDegrees(base)
 
   // every vertex is a source or a destination
-  lazy val n: Long = whole.fold(all.vertexCount)(_.n)
+  lazy val n: Long = whole.fold(all.vertexCount)(_.n.toLong)
 
   // canonical edges have no isolated vertex: the graph is its own [1,1]-core
-  def fullSub(): LocalDigraph = whole.fold(LocalDigraph.fromEdges(base))(_.fullSub())
+  def fullSub(): LocalDigraph = whole.getOrElse(LocalDigraph.fromEdges(base))
 
-  private final case class Cached(x: Int, y: Int, engine: LocalCoreEngine)
-  private lazy val cached: ArrayBuffer[Cached] = ArrayBuffer.from(whole.map(Cached(1, 1, _)))
+  /** The driver cores kept for later calls, with their (x,y). */
+  private lazy val kept: ArrayBuffer[(Int, Int, LocalDigraph)] = ArrayBuffer.from(whole.map((1, 1, _)))
 
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
-    CoreEngine.requireWarm(x, y, warm)
-    cached.find(c => c.x <= x && c.y <= y) match {
-      case Some(c) =>
-        // local handles warm-start each other; this engine's handles (H) are ignored
-        c.engine.core(x, y, warm.filterNot(_.isInstanceOf[H]))
-      case None =>
-        val peeled = warm match {
-          case Some(H(_, _, Left(d)))  => XYCore.peel(base, x, y, d, localCutoff)
-          case Some(H(_, _, Right(g))) => Right(LocalXYCore.peel(g, x, y)) // a core the full cache left out
-          case _                       => XYCore.peel(base, x, y, all, localCutoff)
-        }
-        if (peeled.fold(_.m == 0, _.isEmpty)) None
-        else {
-          peeled.foreach(g => if (cached.size < 8) cached += Cached(x, y, new LocalCoreEngine(g)))
-          Some(H(x, y, peeled))
-        }
+    val own = CoreEngine.ownWarm(this, x, y, warm)
+    val onDriver = (own.flatMap(_.toOption) ++ kept.collect { case (cx, cy, g) if cx <= x && cy <= y => g })
+      .minByOption(_.m)
+    val from = onDriver.map(Right(_)).orElse(own).getOrElse(Left(all))
+    val peeled = XYCore.peel(base, x, y, from, localCutoff)
+    if (peeled.fold(_.m == 0, _.isEmpty)) None
+    else {
+      // a core that reached the driver from Spark is kept; one peeled from a driver core is inside it
+      if (onDriver.isEmpty) peeled.foreach(g => if (kept.size < 8) kept += ((x, y, g)))
+      Some(new PairCore(x, y, peeled, this, peeled.fold(d => LocalDigraph.fromEdges(base, d.s, d.t), identity)))
     }
   }
 

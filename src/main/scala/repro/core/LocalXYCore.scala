@@ -66,10 +66,11 @@ final class PeelState(val g: LocalDigraph) {
   * and is computed by iteratively deleting violators (worklist-based, exact)
   * through [[PeelState]].
   *
-  * Both core engines peel with it (``LocalCoreEngine`` directly,
-  * ``SparkCoreEngine`` for every core within its local cutoff), the
-  * BSApprox baseline runs its local rounds as cores of it, and the Spark
-  * implementation (``XYCore``) is tested against it.
+  * It is the driver side of [[XYCore.peel]]: every pair on the driver (a
+  * ``Right`` [[PairState]]) is peeled here, whether a ``LocalCoreEngine``
+  * holds it, a ``SparkCoreEngine`` collected it (the whole graph within
+  * its cutoff, a kept core, or a Spark peel finished locally), or it is a
+  * round of ``BSApprox.runLocal``. The Spark rounds are tested against it.
   */
 object LocalXYCore {
 

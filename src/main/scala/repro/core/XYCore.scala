@@ -4,35 +4,37 @@ import org.apache.spark.sql.DataFrame
 import scala.annotation.tailrec
 import repro.graph.{EdgeScan, LocalDigraph, PairDegrees}
 
-/** Iterative [x,y]-core peeling as Spark dataflow.
+/** [x,y]-core peeling of a [[PairState]]: the one function that turns a
+  * pair into its core, on either side.
   *
-  * The loop keeps the *edge set* in Spark and the (much smaller) alive
-  * vertex sets on the driver, as sorted id arrays with their exact degrees
-  * ([[PairDegrees]]). A call starts from degrees the driver already holds:
-  * the whole graph's ([[EdgeScan.allDegrees]], kept by the engine) or a
-  * superset core's, carried from the round that found it. Each round first
-  * tries to settle the peel on the driver from the current degrees, and
-  * only otherwise runs one narrow pass over the cached base edges
-  * ([[EdgeScan.degrees]] of the survivors: one map-only job with no
+  * A pair on the driver is peeled by [[LocalXYCore.peel]]. A pair in Spark
+  * keeps its *edge set* in Spark and the (much smaller) alive vertex sets
+  * on the driver, as sorted id arrays with their exact degrees
+  * ([[PairDegrees]]): the whole graph's ([[EdgeScan.allDegrees]], kept by
+  * the engine) or a superset core's, carried from the round that found it.
+  * Each round first tries to settle the peel on the driver from the current
+  * degrees, and only otherwise runs one narrow pass over the cached base
+  * edges ([[EdgeScan.degrees]] of the survivors: one map-only job with no
   * shuffle), so lineage depth stays constant. Batch removal converges to
   * the same unique maximal core as one-at-a-time peeling (valid pairs are
   * union-closed).
   */
 object XYCore {
 
-  /** Peel ``base`` (cached canonical edges, columns src/dst) down to its
-    * [x,y]-core, starting from ``from``: the exact degrees of E(S,T) for a
-    * pair (S,T) that contains the core, such as the whole graph's
-    * ([[EdgeScan.allDegrees]]) or those of the [x',y']-core with x' ≤ x and
-    * y' ≤ y (by nestedness; the caller checks that).
+  /** Peel the pair ``from`` down to its [x,y]-core. ``from`` must contain
+    * the core, as the whole graph does, or the [x',y']-core with x' ≤ x and
+    * y' ≤ y (by nestedness; the caller checks that). A Right pair is peeled
+    * on the driver and stays there. A Left pair holds the exact degrees of
+    * E(S,T), whose edges are in ``base`` (cached canonical edges, columns
+    * src/dst).
     *
-    * ``localCutoff``: once the survivors' edge count is known to be within
-    * this size, the remaining pair-subgraph is collected and the
-    * (identical) fixpoint is finished by the exact in-memory peeler. Batch
-    * peeling near the critical threshold can cascade one thin layer per
-    * round — hundreds of rounds of job-launch latency for a subgraph that
-    * by then fits in memory. 0 disables the hybrid (pure dataflow rounds,
-    * used in tests).
+    * ``localCutoff``: once the survivors' edge count of a Left pair is
+    * known to be within this size, the remaining pair-subgraph is collected
+    * and the (identical) fixpoint is finished by the exact in-memory
+    * peeler. Batch peeling near the critical threshold can cascade one thin
+    * layer per round — hundreds of rounds of job-launch latency for a
+    * subgraph that by then fits in memory. 0 disables the hybrid (pure
+    * dataflow rounds, used in tests and by BSApprox).
     *
     * Returns Right with the core's edges when it was finished on the
     * driver (always, for a core within the cutoff), Left with the core's
@@ -41,14 +43,13 @@ object XYCore {
     * ``Left(PairDegrees.empty)``, or an empty digraph when the driver
     * finished it.
     */
-  def peel(base: DataFrame, x: Int, y: Int, from: PairDegrees,
-           localCutoff: Long = 0L): Either[PairDegrees, LocalDigraph] = {
+  def peel(base: DataFrame, x: Int, y: Int, from: PairState, localCutoff: Long = 0L): PairState = {
     require(x >= 1 && y >= 1, s"need x,y >= 1, got [$x,$y]")
 
     // Each round's survivors are a subset of its alive sets, so a round
     // that is not settled removes at least one alive vertex: the loop ends
     // within |S|+|T|+1 rounds.
-    @tailrec def round(d: PairDegrees): Either[PairDegrees, LocalDigraph] = {
+    @tailrec def round(d: PairDegrees): PairState = {
       val (s, sDeg, sOut) = atLeast(d.s, d.out, x)
       val (t, tDeg, tIn)  = atLeast(d.t, d.in, y)
       if (s.isEmpty || t.isEmpty) Left(PairDegrees.empty)
@@ -63,7 +64,7 @@ object XYCore {
       else round(EdgeScan.degrees(base, s, t))
     }
 
-    round(from)
+    from.fold(round, g => Right(LocalXYCore.peel(g, x, y)))
   }
 
   /** The ids whose degree is at least ``k``, their degrees, and the sum of

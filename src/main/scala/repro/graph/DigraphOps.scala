@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 
 /** Summary statistics of a directed graph (Table-2-style row). */
 final case class GraphStats(n: Long, m: Long, nSrc: Long, nDst: Long,
@@ -22,18 +22,6 @@ object DigraphOps {
       .where(col("src") =!= col("dst"))
       .dropDuplicates("src", "dst")
 
-  /** Distinct vertices (endpoints of at least one edge), column ``id``. */
-  def vertices(edges: DataFrame): DataFrame =
-    edges.select(col("src").as("id")).union(edges.select(col("dst").as("id"))).distinct()
-
-  /** Out-degree per source vertex, columns ``id``, ``deg``. */
-  def outDegrees(edges: DataFrame): DataFrame =
-    edges.groupBy(col("src").as("id")).agg(count(lit(1)).as("deg"))
-
-  /** In-degree per destination vertex, columns ``id``, ``deg``. */
-  def inDegrees(edges: DataFrame): DataFrame =
-    edges.groupBy(col("dst").as("id")).agg(count(lit(1)).as("deg"))
-
   /** Directed density ρ(S,T) = |E(S,T)| / sqrt(|S|·|T|) (Kannan–Vinay). */
   def density(m: Long, sSize: Long, tSize: Long): Double =
     if (sSize <= 0 || tSize <= 0) 0.0
@@ -46,17 +34,13 @@ object DigraphOps {
     if (sSize <= 0 || tSize <= 0) 0.0
     else 2.0 * m / (sSize / math.sqrt(a) + math.sqrt(a) * tSize)
 
-  /** Graph summary statistics. */
+  /** Graph summary statistics of canonical ``edges``, from one
+    * [[EdgeScan.allDegrees]] pass.
+    */
   def stats(edges: DataFrame): GraphStats = {
-    val e   = edges.cache()
-    val m   = e.count()
-    val n   = vertices(e).count()
-    val row = e
-      .agg(countDistinct(col("src")).as("ns"), countDistinct(col("dst")).as("nt"))
-      .head()
-    val maxOut = if (m == 0) 0L else outDegrees(e).agg(max("deg")).head().getLong(0)
-    val maxIn  = if (m == 0) 0L else inDegrees(e).agg(max("deg")).head().getLong(0)
-    GraphStats(n, m, row.getLong(0), row.getLong(1), maxOut, maxIn)
+    val d = EdgeScan.allDegrees(edges)
+    GraphStats(d.vertexCount, d.m, d.s.length.toLong, d.t.length.toLong,
+               d.out.maxOption.getOrElse(0).toLong, d.in.maxOption.getOrElse(0).toLong)
   }
 
   /** Build an edge DataFrame from in-memory pairs (tests, toy graphs). */

@@ -14,12 +14,6 @@ import scala.reflect.ClassTag
   */
 final case class PairDegrees(s: Array[Long], out: Array[Int], t: Array[Long], in: Array[Int], m: Long) {
 
-  /** The ids of ``s`` whose out-degree exceeds ``bound``, ascending. */
-  def sOver(bound: Double): Array[Long] = PairDegrees.over(s, out, bound)
-
-  /** The ids of ``t`` whose in-degree exceeds ``bound``, ascending. */
-  def tOver(bound: Double): Array[Long] = PairDegrees.over(t, in, bound)
-
   /** |s ∪ t|, by one merge of the two sorted id arrays. */
   def vertexCount: Long = {
     var i = 0
@@ -37,13 +31,6 @@ final case class PairDegrees(s: Array[Long], out: Array[Int], t: Array[Long], in
 
 object PairDegrees {
   val empty: PairDegrees = PairDegrees(Array.empty, Array.empty, Array.empty, Array.empty, 0L)
-
-  private def over(ids: Array[Long], deg: Array[Int], bound: Double): Array[Long] = {
-    val out = ArrayBuilder.make[Long]
-    var i = 0
-    while (i < ids.length) { if (deg(i) > bound) out += ids(i); i += 1 }
-    out.result()
-  }
 }
 
 /** Narrow passes over a canonical edge DataFrame (see

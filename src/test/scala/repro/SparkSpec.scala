@@ -1,8 +1,10 @@
 package repro
 
+import org.apache.spark.JobExecutionStatus
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -20,7 +22,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
 object SparkSpec {
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",
@@ -36,5 +38,32 @@ object SparkSpec {
       s"defaultParallelism=${s.sparkContext.defaultParallelism}"
     )
     s
+  }
+
+  /** The number of stages each job that ``body`` runs has run, read from
+    * the status tracker. The scheduler also lists the stages of a cached
+    * frame's own lineage under a job that reads the cache, as skipped
+    * stages that never start; a job with no shuffle runs one stage.
+    */
+  def jobShapes(body: => Unit): Seq[Int] = {
+    val sc = shared.sparkContext
+    val tracker = sc.statusTracker
+    val group = s"shape-${Random.nextLong()}"
+    sc.setJobGroup(group, group)
+    try body finally sc.clearJobGroup()
+    // the tracker learns of jobs from listener events, in order: once a
+    // marker job run after them shows as finished, so do they
+    val marker = group + "-marker"
+    sc.setJobGroup(marker, marker)
+    try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+    val deadline = System.nanoTime() + 30000000000L
+    while (!tracker.getJobIdsForGroup(marker).flatMap(tracker.getJobInfo(_))
+             .exists(_.status == JobExecutionStatus.SUCCEEDED)) {
+      assert(System.nanoTime() < deadline, "the status tracker never saw the marker job")
+      Thread.sleep(10)
+    }
+    tracker.getJobIdsForGroup(group).sorted.toSeq.map { job =>
+      tracker.getJobInfo(job).get.stageIds.count(tracker.getStageInfo(_).exists(_.submissionTime > 0))
+    }
   }
 }

@@ -33,7 +33,7 @@ class SynthGraphsSpec extends SparkSpec {
 
   test("powerLaw produces a skewed out-degree distribution") {
     val e = SynthGraphs.powerLaw(spark, 2000, 20000, seed = 3)
-    val degs = DigraphOps.outDegrees(e).select("deg").collect().map(_.getLong(0))
+    val degs = TestGraphs.outDegrees(e).select("deg").collect().map(_.getLong(0))
     val maxDeg = degs.max
     val avg = degs.sum.toDouble / degs.length
     assert(maxDeg > 10 * avg, s"max=$maxDeg avg=$avg — expected heavy tail")
@@ -41,9 +41,9 @@ class SynthGraphsSpec extends SparkSpec {
 
   test("powerLaw decorrelates in-hubs from out-hubs") {
     val e = SynthGraphs.powerLaw(spark, 1000, 10000, seed = 4).cache()
-    val topOut = DigraphOps.outDegrees(e).orderBy(org.apache.spark.sql.functions.desc("deg"))
+    val topOut = TestGraphs.outDegrees(e).orderBy(org.apache.spark.sql.functions.desc("deg"))
       .limit(5).select("id").collect().map(_.getLong(0)).toSet
-    val topIn = DigraphOps.inDegrees(e).orderBy(org.apache.spark.sql.functions.desc("deg"))
+    val topIn = TestGraphs.inDegrees(e).orderBy(org.apache.spark.sql.functions.desc("deg"))
       .limit(5).select("id").collect().map(_.getLong(0)).toSet
     assert((topOut intersect topIn).size < 5, "hubs fully aligned — permutation broken")
     e.unpersist()

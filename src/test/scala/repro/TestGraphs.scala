@@ -1,7 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.{broadcast, col}
+import org.apache.spark.sql.functions.{broadcast, col, count, lit}
 import repro.graph.{DigraphOps, LocalDigraph}
 import scala.util.Random
 
@@ -62,6 +62,14 @@ object TestGraphs {
       .join(broadcast(s.toSeq.toDF("__s")), col("src") === col("__s"), "left_semi")
       .join(broadcast(t.toSeq.toDF("__t")), col("dst") === col("__t"), "left_semi")
   }
+
+  /** Out-degree per source of ``edges`` as a DataFrame plan, columns ``id``, ``deg``. */
+  def outDegrees(edges: DataFrame): DataFrame =
+    edges.groupBy(col("src").as("id")).agg(count(lit(1)).as("deg"))
+
+  /** In-degree per destination of ``edges`` as a DataFrame plan, columns ``id``, ``deg``. */
+  def inDegrees(edges: DataFrame): DataFrame =
+    edges.groupBy(col("dst").as("id")).agg(count(lit(1)).as("deg"))
 
   /** Skewed random digraph: preferential-style endpoints (hubs). */
   def skewedPairs(n: Int, m: Int, seed: Long): Seq[(Long, Long)] = {

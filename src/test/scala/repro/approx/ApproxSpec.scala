@@ -2,8 +2,9 @@ package repro.approx
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.SparkSpec.jobShapes
 import repro.core.{Candidate, LocalCoreEngine, LocalXYCore, SparkCoreEngine}
-import repro.graph.{DigraphOps, LocalDigraph}
+import repro.graph.{DigraphOps, EdgeScan, LocalDigraph}
 import repro.ref.BruteForce
 
 /** Approximation algorithms: guarantees vs brute force, Spark/local parity. */
@@ -137,21 +138,35 @@ class ApproxSpec extends AnyFunSuite {
       val pairs = TestGraphs.skewedPairs(40, 180, 400 + seed)
       val df = TestGraphs.df(spark, pairs)
       for ((eps, gridFactor) <- Seq((1.0, 2.0), (0.5, 3.0))) {
-        val s = BSApprox.run(df, eps = eps, gridFactor = gridFactor)
+        var s: ApproxResult = null
+        val jobs = jobShapes { s = BSApprox.run(df, eps = eps, gridFactor = gridFactor) }
         val l = BSApprox.runLocal(local(pairs), eps = eps, gridFactor = gridFactor)
         assert(math.abs(s.density - l.density) < 1e-9,
           s"eps=$eps grid=$gridFactor spark=${s.density} local=${l.density}")
         assert((s.sSize, s.tSize) === ((l.sSize, l.tSize)), s"eps=$eps grid=$gridFactor")
+        // the local loop again, counting its rounds that leave a pair
+        var rounds = 0
+        val counted = BSApprox.rounds("BSApprox*", "", Right(local(pairs)), eps, gridFactor, Long.MaxValue,
+                                      System.nanoTime()) { (p, x, y) =>
+          val next = BSApprox.localRound(p, x, y)
+          if (next.exists(_.nonEmpty)) rounds += 1
+          next
+        }
+        assert((counted.density, counted.sSize, counted.tSize) === ((l.density, l.sSize, l.tSize)))
+        assert(rounds > 0)
+        // after the allDegrees pass, one narrow degree pass per round
+        assert(jobs.takeRight(rounds).forall(_ == 1), jobs)
+        assert(jobs.size - rounds === allDegreesJobs(df), jobs)
       }
     }
   }
 
-  /** Runs ``body`` in a job group and returns how many Spark jobs it started. */
-  private def sparkJobs(body: => Unit): Int = {
-    val sc = repro.SparkSpec.shared.sparkContext
-    sc.setJobGroup("approx-spec-rejects", "parameter checks")
-    try body finally sc.clearJobGroup()
-    sc.statusTracker.getJobIdsForGroup("approx-spec-rejects").length
+  /** The Spark jobs of BSApprox.run's allDegrees pass: a fresh cached
+    * canonical frame, read for the first time.
+    */
+  private def allDegreesJobs(df: org.apache.spark.sql.DataFrame): Int = {
+    val base = DigraphOps.canonicalize(df).cache()
+    try jobShapes(EdgeScan.allDegrees(base)).size finally { base.unpersist(); () }
   }
 
   test("BSApprox rejects gridFactor <= 1 (its ratio grid would not grow)") {
@@ -159,7 +174,7 @@ class ApproxSpec extends AnyFunSuite {
     val df = TestGraphs.df(repro.SparkSpec.shared, pairs)
     for (gridFactor <- Seq(1.0, 0.5, Double.NaN)) {
       intercept[IllegalArgumentException](BSApprox.runLocal(local(pairs), gridFactor = gridFactor))
-      val jobs = sparkJobs(intercept[IllegalArgumentException](BSApprox.run(df, gridFactor = gridFactor)))
+      val jobs = jobShapes(intercept[IllegalArgumentException](BSApprox.run(df, gridFactor = gridFactor))).size
       assert(jobs === 0)
     }
   }
@@ -169,7 +184,7 @@ class ApproxSpec extends AnyFunSuite {
     val df = TestGraphs.df(repro.SparkSpec.shared, pairs)
     for (eps <- Seq(-0.5, Double.NaN)) {
       intercept[IllegalArgumentException](BSApprox.runLocal(local(pairs), eps = eps))
-      val jobs = sparkJobs(intercept[IllegalArgumentException](BSApprox.run(df, eps = eps)))
+      val jobs = jobShapes(intercept[IllegalArgumentException](BSApprox.run(df, eps = eps))).size
       assert(jobs === 0)
     }
   }

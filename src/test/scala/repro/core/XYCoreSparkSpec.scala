@@ -1,9 +1,9 @@
 package repro.core
 
-import org.apache.spark.JobExecutionStatus
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{array, col, count, explode, lit, struct}
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.SparkSpec.jobShapes
 import repro.graph.{DigraphOps, EdgeScan, LocalDigraph, PairDegrees}
 import scala.util.Random
 
@@ -22,7 +22,7 @@ class XYCoreSparkSpec extends SparkSpec {
   /** XYCore.peel's core, wherever it was finished. */
   private def peel(base: DataFrame, x: Int, y: Int, warm: Option[Candidate] = None,
                    localCutoff: Long = 0L): Candidate =
-    answer(XYCore.peel(base, x, y, from(base, warm), localCutoff))
+    answer(XYCore.peel(base, x, y, Left(from(base, warm)), localCutoff))
 
   /** The edges of a core as a DataFrame plan, for the DuckDB checks. */
   private def coreEdges(base: DataFrame, core: Candidate): DataFrame =
@@ -91,7 +91,7 @@ class XYCoreSparkSpec extends SparkSpec {
       for ((x, y) <- Seq((1, 1), (2, 2), (3, 2))) {
         val pure = peel(base, x, y, None, localCutoff = 0L)
         val hybridLow = peel(base, x, y, None, localCutoff = 10L)
-        val all = XYCore.peel(base, x, y, from(base, None), localCutoff = 1000000L)
+        val all = XYCore.peel(base, x, y, Left(from(base, None)), localCutoff = 1000000L)
         // a non-empty core under the cutoff comes back with its edges
         assert(all.isRight || pure.isEmpty, s"[$x,$y]")
         val hybridAll = answer(all)
@@ -110,7 +110,7 @@ class XYCoreSparkSpec extends SparkSpec {
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
     val c11 = peel(base, 1, 1)
     val cold = peel(base, 2, 2)
-    val warmSub = XYCore.peel(base, 2, 2, from(base, Some(c11)), localCutoff = 1000000L)
+    val warmSub = XYCore.peel(base, 2, 2, Left(from(base, Some(c11))), localCutoff = 1000000L)
       .getOrElse(fail("not finished on the driver"))
     val warm = Candidate.of(warmSub)
     assert(warm.s.toSeq === cold.s.toSeq && warm.t.toSeq === cold.t.toSeq && warm.m === cold.m)
@@ -157,6 +157,32 @@ class XYCoreSparkSpec extends SparkSpec {
     engines.collect { case (_, e: SparkCoreEngine) => e.release() }
   }
 
+  test("a warm handle from another engine is ignored") {
+    val pairsA = TestGraphs.skewedPairs(60, 300, seed = 51)
+    // another graph on other ids: A's cores say nothing about B's
+    val pairsB = TestGraphs.skewedPairs(60, 300, seed = 52).map { case (u, v) => (u + 1000L, v + 1000L) }
+    val kinds: Seq[(String, Seq[(Long, Long)] => CoreEngine)] = Seq(
+      "local" -> (p => new LocalCoreEngine(LocalDigraph.fromPairs(p))),
+      "spark rounds" -> (p => new SparkCoreEngine(TestGraphs.df(spark, p), localCutoff = 0L)),
+      "spark, whole graph on the driver" -> (p => new SparkCoreEngine(TestGraphs.df(spark, p))))
+    val engines = kinds.map { case (name, mk) => (name, mk(pairsA), mk(pairsB)) }
+    def shape(h: Option[CoreHandle]) =
+      h.map(c => (c.sSize, c.tSize, c.m, c.candidate().s.toSeq, c.candidate().t.toSeq))
+    try {
+      for ((nameA, a, _) <- engines; (nameB, _, b) <- engines) {
+        val hA = a.core(1, 1)
+        if (nameA == "spark rounds") assert(hA.collect { case p: PairCore => p.pair.isLeft } === Some(true))
+        for ((x, y) <- Seq((2, 2), (3, 1))) {
+          val cold = b.core(x, y)
+          assert(cold.nonEmpty && (shape(cold) !== shape(a.core(x, y))), s"$nameB [$x,$y]")
+          assert(shape(b.core(x, y, hA)) === shape(cold), s"$nameA handle into $nameB [$x,$y]")
+        }
+      }
+    } finally engines.foreach { case (_, a, b) =>
+      Seq(a, b).collect { case e: SparkCoreEngine => e.release() }
+    }
+  }
+
   test("core constraint verified via DuckDB: every S vertex has >= x out-edges into T") {
     val pairs = TestGraphs.skewedPairs(30, 150, seed = 11)
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
@@ -165,7 +191,7 @@ class XYCoreSparkSpec extends SparkSpec {
     if (core.nonEmpty) {
       val edges = coreEdges(base, core)
       val sDf = core.s.toSeq.toDF("id")
-      val violators = DigraphOps.outDegrees(edges)
+      val violators = TestGraphs.outDegrees(edges)
         .where($"deg" < x)
         .join(sDf, "id")
       Oracle.assertEquivalent(
@@ -303,51 +329,24 @@ class XYCoreSparkSpec extends SparkSpec {
     }
   }
 
-  /** The number of stages each job that ``body`` runs has run, read from
-    * the status tracker. The scheduler also lists the stages of a cached
-    * frame's own lineage under a job that reads the cache, as skipped
-    * stages that never start; a job with no shuffle runs one stage.
-    */
-  private def jobShapes(body: => Unit): Seq[Int] = {
-    val sc = spark.sparkContext
-    val tracker = sc.statusTracker
-    val group = s"shape-${Random.nextLong()}"
-    sc.setJobGroup(group, group)
-    try body finally sc.clearJobGroup()
-    // the tracker learns of jobs from listener events, in order: once a
-    // marker job run after them shows as finished, so do they
-    val marker = group + "-marker"
-    sc.setJobGroup(marker, marker)
-    try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
-    val deadline = System.nanoTime() + 30000000000L
-    while (!tracker.getJobIdsForGroup(marker).flatMap(tracker.getJobInfo(_))
-             .exists(_.status == JobExecutionStatus.SUCCEEDED)) {
-      assert(System.nanoTime() < deadline, "the status tracker never saw the marker job")
-      Thread.sleep(10)
-    }
-    tracker.getJobIdsForGroup(group).sorted.toSeq.map { job =>
-      tracker.getJobInfo(job).get.stageIds.count(tracker.getStageInfo(_).exists(_.submissionTime > 0))
-    }
-  }
-
   test("a narrow round is one job with one stage; a call at its core runs none") {
     val pairs = TestGraphs.skewedPairs(60, 300, seed = 44)
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
     base.count()
     var all: PairDegrees = null
     assert(jobShapes { all = EdgeScan.allDegrees(base) } === Seq(1))
-    val d22 = XYCore.peel(base, 2, 2, all).swap.getOrElse(fail("not peeled in Spark"))
+    val d22 = XYCore.peel(base, 2, 2, Left(all)).swap.getOrElse(fail("not peeled in Spark"))
     assert(d22.m > 0)
     assert(jobShapes(EdgeScan.degrees(base, d22.s, d22.t)) === Seq(1))
     assert(jobShapes(LocalDigraph.fromEdges(base, d22.s, d22.t)) === Seq(1))
     assert(jobShapes(LocalDigraph.fromEdges(base)) === Seq(1))
     // started at its own core's degrees: the driver sees the fixpoint
     var warm: Either[PairDegrees, LocalDigraph] = null
-    assert(jobShapes { warm = XYCore.peel(base, 2, 2, d22) } === Seq())
+    assert(jobShapes { warm = XYCore.peel(base, 2, 2, Left(d22)) } === Seq())
     assertSameDegrees(warm, d22, "warm")
     // no vertex of a canonical graph is below [1,1]: the whole graph's degrees are the fixpoint
     var c11: Candidate = null
-    assert(jobShapes { c11 = answer(XYCore.peel(base, 1, 1, all)) } === Seq())
+    assert(jobShapes { c11 = answer(XYCore.peel(base, 1, 1, Left(all))) } === Seq())
     assert(c11.m === base.count())
     // a cold peel whose first round removes vertices: every round is narrow
     val shapes = jobShapes(peel(base, 3, 2))
@@ -369,13 +368,13 @@ class XYCoreSparkSpec extends SparkSpec {
   test("a peel whose drops all have degree 0 runs no job") {
     val pairs = TestGraphs.skewedPairs(60, 300, seed = 44)
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
-    val d22 = XYCore.peel(base, 2, 2, EdgeScan.allDegrees(base)).swap.getOrElse(fail("not peeled in Spark"))
+    val d22 = XYCore.peel(base, 2, 2, Left(EdgeScan.allDegrees(base))).swap.getOrElse(fail("not peeled in Spark"))
     // ids no edge touches, on both sides: degree 0 in any pair
     val absent = Array(-3L, 0L, 10000L, Long.MaxValue)
     val padded = EdgeScan.degrees(base, (d22.s ++ absent).sorted, (d22.t ++ absent).sorted)
     assert(padded.m === d22.m)
     var core: Either[PairDegrees, LocalDigraph] = null
-    assert(jobShapes { core = XYCore.peel(base, 2, 2, padded) } === Seq())
+    assert(jobShapes { core = XYCore.peel(base, 2, 2, Left(padded)) } === Seq())
     assertSameDegrees(core, d22, "padded")
     base.unpersist()
   }
@@ -387,7 +386,7 @@ class XYCoreSparkSpec extends SparkSpec {
     // [2,1] keeps every destination and drops the sources of out-degree 1
     assert(all.out.contains(1))
     var core: Either[PairDegrees, LocalDigraph] = null
-    assert(jobShapes { core = XYCore.peel(base, 2, 1, all, localCutoff = all.m - 1) } === Seq(1))
+    assert(jobShapes { core = XYCore.peel(base, 2, 1, Left(all), localCutoff = all.m - 1) } === Seq(1))
     assert(core.isRight)
     val cold = peel(base, 2, 1)
     val c = answer(core)
@@ -425,9 +424,9 @@ class XYCoreSparkSpec extends SparkSpec {
   }
 
   /** The degrees a Spark handle carries, if it reached its fixpoint in Spark. */
-  private def carried(engine: SparkCoreEngine, h: CoreHandle): Option[PairDegrees] = h match {
-    case engine.H(_, _, core) => core.left.toOption
-    case _                    => None
+  private def carried(h: CoreHandle): Option[PairDegrees] = h match {
+    case p: PairCore => p.pair.left.toOption
+    case _           => None
   }
 
   for ((name, pairs) <- Seq("random" -> TestGraphs.randomPairs(30, 150, seed = 45),
@@ -446,7 +445,7 @@ class XYCoreSparkSpec extends SparkSpec {
               val h = engine.core(x, y, warm)
               assert(h.map(_.m) === Option(LocalXYCore.peel(g, x, y)).filter(_.nonEmpty).map(_.m.toLong),
                 s"cutoff $cutoff [$x,$y] m")
-              for (hh <- h; d <- carried(engine, hh)) {
+              for (hh <- h; d <- carried(hh)) {
                 assertSameDegrees(Left(d), EdgeScan.degrees(engine.base, d.s, d.t), s"cutoff $cutoff [$x,$y]")
                 checked += 1
               }

@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.exact.RatioUtils
 
@@ -27,25 +26,30 @@ class DigraphOpsSpec extends SparkSpec {
     assert(DigraphOps.canonicalize(TestGraphs.df(spark, Seq.empty)).count() === 0)
   }
 
+  // the degrees and vertices that stats reads, from its one allDegrees pass
+  private lazy val all = EdgeScan.allDegrees(edges)
+
   test("out-degrees match DuckDB") {
     Oracle.assertEquivalent(
-      DigraphOps.outDegrees(edges).select($"id", $"deg".cast("string").as("deg")),
+      all.s.toSeq.zip(all.out.toSeq.map(_.toString)).toDF("id", "deg"),
       "SELECT src AS id, CAST(COUNT(*) AS VARCHAR) AS deg FROM edges GROUP BY src",
       "edges" -> edges)
   }
 
   test("in-degrees match DuckDB") {
     Oracle.assertEquivalent(
-      DigraphOps.inDegrees(edges).select($"id", $"deg".cast("string").as("deg")),
+      all.t.toSeq.zip(all.in.toSeq.map(_.toString)).toDF("id", "deg"),
       "SELECT dst AS id, CAST(COUNT(*) AS VARCHAR) AS deg FROM edges GROUP BY dst",
       "edges" -> edges)
   }
 
   test("vertices match DuckDB distinct endpoints") {
+    val ids = (all.s ++ all.t).distinct
     Oracle.assertEquivalent(
-      DigraphOps.vertices(edges),
+      ids.toSeq.toDF("id"),
       "SELECT DISTINCT id FROM (SELECT src AS id FROM edges UNION ALL SELECT dst FROM edges)",
       "edges" -> edges)
+    assert(all.vertexCount === ids.length.toLong)
   }
 
   test("pairSubgraph matches DuckDB semi-joins") {
