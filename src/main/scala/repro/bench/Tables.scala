@@ -27,7 +27,6 @@ object Datasets {
   val plant = DatasetSpec("PLANT",
     s => SynthGraphs.planted(s, 20000, 200000, 40, 60, 0.5, seed = 27))
 
-  val small: Seq[DatasetSpec] = Seq(toy, erXS, erS, plS)
   val large: Seq[DatasetSpec] = Seq(plS, erM, plM, plant, plL)
   val all: Seq[DatasetSpec]   = Seq(toy, erXS, erS, plS, erM, plM, plant, plL)
 }
@@ -61,20 +60,31 @@ object Tables {
     (a, (System.nanoTime() - t0) / 1000000L)
   }
 
+  /** Run ``body`` on a Spark engine over ``graph`` with the engine's set-up
+    * timed first: canonicalize, cache fill and count, and the whole-graph
+    * collect or all-degrees pass that ``n`` reads. So no algorithm's clock
+    * pays for it. The engine's cached ``base`` is the table's one copy of
+    * the graph; it is released after ``body``.
+    */
+  private def withEngine[A](graph: DataFrame)(body: (SparkCoreEngine, Long) => A): A = {
+    val engine = new SparkCoreEngine(graph)
+    try body(engine, timed(engine.n)._2)
+    finally engine.release()
+  }
+
   // ---- Table 2: dataset statistics -------------------------------------
   def table2(spark: SparkSession, specs: Seq[DatasetSpec] = Datasets.all): Seq[String] = {
     val rows = specs.map { spec =>
-      val edges = DigraphOps.canonicalize(spec.build(spark)).cache()
-      val st = DigraphOps.stats(edges)
-      val engine = new SparkCoreEngine(edges)
-      val ca = CoreApprox.run(engine)
-      engine.release()
-      edges.unpersist()
-      val row =
-        f"${spec.name}%-7s n=${st.n}%8d m=${st.m}%9d maxOut=${st.maxOutDeg}%6d maxIn=${st.maxInDeg}%6d " +
-          f"[x*,y*]=[${ca.x}%3d,${ca.y}%3d] ρ(CoreApprox)=${ca.result.density}%9.3f (${ca.result.millis}ms)"
-      Console.err.println(s"[table2] $row")
-      row
+      withEngine(spec.build(spark)) { (engine, setupMs) =>
+        val st = DigraphOps.stats(engine.base)
+        val ca = CoreApprox.run(engine)
+        val row =
+          f"${spec.name}%-7s n=${st.n}%8d m=${st.m}%9d maxOut=${st.maxOutDeg}%6d maxIn=${st.maxInDeg}%6d " +
+            f"setup=${setupMs}%6dms [x*,y*]=[${ca.x}%3d,${ca.y}%3d] " +
+            f"ρ(CoreApprox)=${ca.result.density}%9.3f (${ca.result.millis}ms)"
+        Console.err.println(s"[table2] $row")
+        row
+      }
     }
     emit("table2_datasets", rows)
   }
@@ -86,28 +96,20 @@ object Tables {
   def table3(spark: SparkSession,
              entries: Seq[(DatasetSpec, ExactBudgets)]): Seq[String] = {
     val rows = entries.map { case (spec, b) =>
-      val edges = DigraphOps.canonicalize(spec.build(spark)).cache()
-      edges.count()
-      val engine = new SparkCoreEngine(edges)
-      // the engine's lazy set-up (count, collect) is charged here, not to the first algorithm
-      val (_, setupMs) = timed(engine.fullSub())
+      withEngine(spec.build(spark)) { (engine, setupMs) =>
+        def run(mode: DDSExact.Mode, ms: Long) = DDSExact.run(engine, DDSExact.Config(mode, ms))
+        val core = run(DDSExact.Mode.CoreExact, b.coreMs)
+        val dc = run(DDSExact.Mode.DC, b.dcMs)
+        val baseline = Option.when(b.runBaseline)(run(DDSExact.Mode.Baseline, b.baselineMs))
 
-      val core = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.CoreExact, b.coreMs))
-      val dc = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.DC, b.dcMs))
-      val baseline =
-        if (b.runBaseline)
-          Some(DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.Baseline, b.baselineMs)))
-        else None
-      engine.release()
-      edges.unpersist()
-
-      def cell(r: DDSExact.Result): String =
-        fmtMs(r.elapsedMs, r.dnf) + f"(ρ=${r.density}%.3f,p=${r.probes})"
-      val row = f"${spec.name}%-7s setup=${fmtMs(setupMs, dnf = false)}%-8s " +
-        f"Baseline=${baseline.fold("-")(cell)}%-34s DC=${cell(dc)}%-30s " +
-        f"CoreExact=${fmtMs(core.elapsedMs, core.dnf)}(ρ=${core.density}%.3f,p=${core.probes},flows=${core.flows})"
-      Console.err.println(s"[table3] $row")
-      row
+        def cell(r: DDSExact.Result): String =
+          fmtMs(r.elapsedMs, r.dnf) + f"(ρ=${r.density}%.3f,p=${r.probes})"
+        val row = f"${spec.name}%-7s setup=${fmtMs(setupMs, dnf = false)}%-8s " +
+          f"Baseline=${baseline.fold("-")(cell)}%-34s DC=${cell(dc)}%-30s " +
+          f"CoreExact=${fmtMs(core.elapsedMs, core.dnf)}(ρ=${core.density}%.3f,p=${core.probes},flows=${core.flows})"
+        Console.err.println(s"[table3] $row")
+        row
+      }
     }
     emit("table3_exact", rows)
   }
@@ -116,25 +118,21 @@ object Tables {
   def table4(spark: SparkSession, specs: Seq[DatasetSpec] = Datasets.large,
              bsBudgetMs: Long = 180000): Seq[String] = {
     val rows = specs.flatMap { spec =>
-      val edges = DigraphOps.canonicalize(spec.build(spark)).cache()
-      edges.count()
-      val (local, loadMs) = timed(LocalDigraph.fromEdges(edges))
-
-      val peel = PeelApprox.run(local, eps = 0.5)
-      // CoreApprox before BSApprox: hundreds of BS broadcast-join rounds
-      // degrade the shared session and would pollute CoreApprox's timing
-      val engine = new SparkCoreEngine(edges)
-      val ca = CoreApprox.run(engine).result
-      engine.release()
-      val bs = BSApprox.run(edges, eps = 1.0, gridFactor = 2.0, wallBudgetMs = bsBudgetMs)
-      edges.unpersist()
-      val out = Seq(
-        s"${spec.name} (driver edge collect for sequential baseline: ${loadMs}ms)",
-        s"  ${peel.row}",
-        s"  ${bs.row}",
-        s"  ${ca.row}")
-      out.foreach(l => Console.err.println(s"[table4] $l"))
-      out
+      withEngine(spec.build(spark)) { (engine, setupMs) =>
+        val (local, loadMs) = timed(LocalDigraph.fromEdges(engine.base))
+        val peel = PeelApprox.run(local, eps = 0.5)
+        // CoreApprox before BSApprox: hundreds of BS rounds degrade the
+        // shared session and would pollute CoreApprox's timing
+        val ca = CoreApprox.run(engine).result
+        val bs = BSApprox.run(engine.base, eps = 1.0, gridFactor = 2.0, wallBudgetMs = bsBudgetMs)
+        val out = Seq(
+          s"${spec.name} (engine set-up: ${setupMs}ms; driver edge collect for sequential baseline: ${loadMs}ms)",
+          s"  ${peel.row}",
+          s"  ${bs.row}",
+          s"  ${ca.row}")
+        out.foreach(l => Console.err.println(s"[table4] $l"))
+        out
+      }
     }
     emit("table4_approx_time", rows)
   }
@@ -143,26 +141,22 @@ object Tables {
   def table5(spark: SparkSession,
              entries: Seq[(DatasetSpec, Option[Long])]): Seq[String] = {
     val rows = entries.map { case (spec, exactBudget) =>
-      val edges = DigraphOps.canonicalize(spec.build(spark)).cache()
-      edges.count()
-      val local = LocalDigraph.fromEdges(edges)
-      val engine = new SparkCoreEngine(edges)
+      withEngine(spec.build(spark)) { (engine, setupMs) =>
+        val local = LocalDigraph.fromEdges(engine.base)
+        val peel = PeelApprox.run(local, eps = 0.5)
+        val bs = BSApprox.runLocal(local, eps = 1.0)
+        val ca = CoreApprox.run(engine).result
+        val exact = exactBudget.map(ms =>
+          DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.CoreExact, ms)))
 
-      val peel = PeelApprox.run(local, eps = 0.5)
-      val bs = BSApprox.runLocal(local, eps = 1.0)
-      val ca = CoreApprox.run(engine).result
-      val exact = exactBudget.map(ms =>
-        DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.CoreExact, ms)))
-      engine.release()
-      edges.unpersist()
-
-      val refName = exact.filter(!_.dnf).map(_ => "ρopt").getOrElse("best-known")
-      val ref = (Seq(peel.density, bs.density, ca.density) ++ exact.map(_.density)).max
-      def ratio(d: Double) = if (ref <= 0) 1.0 else d / ref
-      val row = f"${spec.name}%-7s ref($refName)=$ref%9.3f  Peel=${ratio(peel.density)}%.3f " +
-        f"BS=${ratio(bs.density)}%.3f CoreApprox=${ratio(ca.density)}%.3f (theoretical ≥ 0.5)"
-      Console.err.println(s"[table5] $row")
-      row
+        val refName = exact.filter(!_.dnf).map(_ => "ρopt").getOrElse("best-known")
+        val ref = (Seq(peel.density, bs.density, ca.density) ++ exact.map(_.density)).max
+        def ratio(d: Double) = if (ref <= 0) 1.0 else d / ref
+        val row = f"${spec.name}%-7s setup=${setupMs}%6dms ref($refName)=$ref%9.3f  Peel=${ratio(peel.density)}%.3f " +
+          f"BS=${ratio(bs.density)}%.3f CoreApprox=${ratio(ca.density)}%.3f (theoretical ≥ 0.5)"
+        Console.err.println(s"[table5] $row")
+        row
+      }
     }
     emit("table5_approx_quality", rows)
   }
@@ -170,16 +164,14 @@ object Tables {
   // ---- Table 6: scalability --------------------------------------------
   def table6(spark: SparkSession, sizes: Seq[Long] = Seq(12500, 25000, 50000, 100000)): Seq[String] = {
     val rows = sizes.map { n =>
-      val edges = DigraphOps.canonicalize(
-        SynthGraphs.powerLaw(spark, n, n * 10, seed = 31)).cache() // average degree 10
-      val m = edges.count()
-      val engine = new SparkCoreEngine(edges)
-      val (ca, ms) = timed(CoreApprox.run(engine))
-      engine.release()
-      edges.unpersist()
-      val row = f"n=$n%8d m=$m%9d CoreApprox=${ms}%7d ms ρ=${ca.result.density}%9.3f [x*,y*]=[${ca.x},${ca.y}]"
-      Console.err.println(s"[table6] $row")
-      row
+      // average degree 10
+      withEngine(SynthGraphs.powerLaw(spark, n, n * 10, seed = 31)) { (engine, setupMs) =>
+        val (ca, ms) = timed(CoreApprox.run(engine))
+        val row = f"n=$n%8d m=${engine.m}%9d setup=${setupMs}%7d ms CoreApprox=${ms}%7d ms " +
+          f"ρ=${ca.result.density}%9.3f [x*,y*]=[${ca.x},${ca.y}]"
+        Console.err.println(s"[table6] $row")
+        row
+      }
     }
     emit("table6_scalability", rows)
   }
@@ -187,22 +179,19 @@ object Tables {
   // ---- Table 7: core pruning effect on flow networks -------------------
   def table7(spark: SparkSession, spec: DatasetSpec = Datasets.plS,
              budgetMs: Long = 300000): Seq[String] = {
-    val edges = DigraphOps.canonicalize(spec.build(spark)).cache()
-    edges.count()
-    val engine = new SparkCoreEngine(edges)
-    val dc = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.DC, budgetMs))
-    val core = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.CoreExact, budgetMs))
-    engine.release()
-    edges.unpersist()
-    def summarize(r: DDSExact.Result): String = {
-      val ns = r.flowNodes
-      if (ns.isEmpty) "no flows"
-      else f"flows=${ns.size} nodes(first)=${ns.head} nodes(max)=${ns.max} nodes(median)=${ns.sorted.apply(ns.size / 2)} nodes(total)=${ns.map(_.toLong).sum}"
+    val rows = withEngine(spec.build(spark)) { (engine, setupMs) =>
+      val dc = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.DC, budgetMs))
+      val core = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.CoreExact, budgetMs))
+      def summarize(r: DDSExact.Result): String = {
+        val ns = r.flowNodes
+        if (ns.isEmpty) "no flows"
+        else f"flows=${ns.size} nodes(first)=${ns.head} nodes(max)=${ns.max} nodes(median)=${ns.sorted.apply(ns.size / 2)} nodes(total)=${ns.map(_.toLong).sum}"
+      }
+      Seq(
+        s"${spec.name} DC(full-graph flows):   ${summarize(dc)} time=${fmtMs(dc.elapsedMs, dc.dnf)}",
+        s"${spec.name} CoreExact(core flows):  ${summarize(core)} time=${fmtMs(core.elapsedMs, core.dnf)}",
+        f"${spec.name} agreement: ρ(DC)=${dc.density}%.4f ρ(CoreExact)=${core.density}%.4f setup=${setupMs}ms")
     }
-    val rows = Seq(
-      s"${spec.name} DC(full-graph flows):   ${summarize(dc)} time=${fmtMs(dc.elapsedMs, dc.dnf)}",
-      s"${spec.name} CoreExact(core flows):  ${summarize(core)} time=${fmtMs(core.elapsedMs, core.dnf)}",
-      f"${spec.name} agreement: ρ(DC)=${dc.density}%.4f ρ(CoreExact)=${core.density}%.4f")
     emit("table7_flow_pruning", rows)
   }
 }

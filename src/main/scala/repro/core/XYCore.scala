@@ -39,9 +39,9 @@ object XYCore {
     * Returns Right with the core's edges when it was finished on the
     * driver (always, for a core within the cutoff), Left with the core's
     * exact degrees when it reached its fixpoint in Spark (edges still
-    * distributed; [[collectSub]] fetches them). An empty core is
-    * ``Left(PairDegrees.empty)``, or an empty digraph when the driver
-    * finished it.
+    * distributed; ``LocalDigraph.fromEdges(base, s, t)`` fetches them). An
+    * empty core is ``Left(PairDegrees.empty)``, or an empty digraph when the
+    * driver finished it.
     */
   def peel(base: DataFrame, x: Int, y: Int, from: PairState, localCutoff: Long = 0L): PairState = {
     require(x >= 1 && y >= 1, s"need x,y >= 1, got [$x,$y]")
@@ -86,9 +86,4 @@ object XYCore {
     }
     (keptIds, keptDeg, sum)
   }
-
-  /** Materialize a core's edges on the driver (for flow networks). */
-  def collectSub(base: DataFrame, core: Candidate): LocalDigraph =
-    if (core.isEmpty) LocalDigraph.fromPairs(Nil)
-    else LocalDigraph.fromEdges(base, core.s, core.t)
 }

@@ -5,18 +5,20 @@ import repro.flow.DensityFlow
 
 /** Exact directed densest subgraph discovery.
   *
-  * Three modes sharing the same per-ratio machinery:
+  * Three modes sharing one ratio search and the same per-ratio machinery:
   *
-  *  - ``Baseline``: the classical algorithm — enumerate every candidate
-  *    ratio p/q (p,q ≤ n) and solve flows on the full graph. O(n²) ratio
-  *    probes; this is the algorithm the paper is orders of magnitude
-  *    faster than.
   *  - ``DC``: divide-and-conquer over ratio space. After probing ratio a
   *    with exact surrogate optimum o_a, every ratio b with
   *    φ(a,b) ≥ o_a/ρ_best satisfies ρ*(b) ≤ o_a/φ(a,b) ≤ ρ_best, so the
   *    log-symmetric interval [a/r, a·r] (r = pruneRadius(o_a/ρ_best)) is
   *    pruned; recursion continues outside, terminating when Stern–Brocot
   *    certifies an interval ratio-free. Flows still on the full graph.
+  *  - ``Baseline``: the classical algorithm — every candidate ratio p/q
+  *    (p,q ≤ n), solved by flows on the full graph. It is DC with radius
+  *    r = 1, which prunes nothing: the open intervals left and right of a
+  *    probe exclude only the probe, so each ratio is probed exactly once.
+  *    O(n²) ratio probes; this is the algorithm the paper is orders of
+  *    magnitude faster than.
   *  - ``CoreExact``: DC plus [x,y]-core pruning — at ratio a = p/q, the
   *    argmax above the level e/d lies in the [⌈e·q/d⌉, ⌈e·p/d⌉]-core, so
   *    each flow network is built on that (shrinking) core; the search is
@@ -111,36 +113,23 @@ object DDSExact {
       sys.error("unreachable")
     }
 
-    cfg.mode match {
-      case Mode.Baseline =>
-        val it = RatioUtils.candidateRatios(n.toInt)
-        while (it.hasNext && !dnf) {
-          if (overBudget) dnf = true
-          else {
-            val (p, q) = it.next()
-            probeRatio(p, q)
-            probes += 1
-          }
+    val stack = scala.collection.mutable.Stack[(Double, Double)]()
+    stack.push((1.0 / (n + 1.0), n + 1.0))
+    while (stack.nonEmpty && !dnf) {
+      if (overBudget) { dnf = true }
+      else {
+        val (lo, hi) = stack.pop()
+        RatioUtils.simplestBetween(lo, hi, n).foreach { case (p, q) =>
+          val a = p.toDouble / q
+          val oA = probeRatio(p, q).surrogate(a)
+          probes += 1
+          // (lo, a/r) and (a·r, hi) are open, so neither holds p/q again
+          val r = if (cfg.mode == Mode.Baseline) 1.0
+                  else RatioUtils.pruneRadius(math.min(1.0, oA / best.density))
+          if (a / r > lo) stack.push((lo, a / r))
+          if (a * r < hi) stack.push((a * r, hi))
         }
-
-      case Mode.DC | Mode.CoreExact =>
-        val stack = scala.collection.mutable.Stack[(Double, Double)]()
-        stack.push((1.0 / (n + 1.0), n + 1.0))
-        while (stack.nonEmpty && !dnf) {
-          if (overBudget) { dnf = true }
-          else {
-            val (lo, hi) = stack.pop()
-            RatioUtils.simplestBetween(lo, hi, n).foreach { case (p, q) =>
-              val a = p.toDouble / q
-              val oA = probeRatio(p, q).surrogate(a)
-              probes += 1
-              // (lo, a/r) and (a·r, hi) are open, so neither holds p/q again
-              val r = RatioUtils.pruneRadius(math.min(1.0, oA / best.density))
-              if (a / r > lo) stack.push((lo, a / r))
-              if (a * r < hi) stack.push((a * r, hi))
-            }
-          }
-        }
+      }
     }
 
     Result(best, probes, flows, flowNodes.result(), elapsedMs, dnf, maxXYInfo)

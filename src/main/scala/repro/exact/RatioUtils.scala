@@ -1,14 +1,16 @@
 package repro.exact
 
-/** Ratio-space utilities for the divide-and-conquer exact algorithm.
+/** Ratio-space utilities for the interval search of the exact algorithms.
   *
-  * Candidate |S|/|T| ratios are fractions p/q with 1 ≤ p,q ≤ n. The DC
-  * recursion needs (a) "is there any candidate ratio strictly inside
-  * (lo, hi)?" and (b) a good probe point. Both come from the Stern–Brocot
-  * tree: the *simplest* fraction in an interval is an ancestor of every
-  * fraction in it, so it simultaneously minimizes numerator and
+  * Candidate |S|/|T| ratios are fractions p/q with 1 ≤ p,q ≤ n. The
+  * interval search (DDSExact: DC and CoreExact prune around each probe,
+  * Baseline prunes nothing) needs (a) "is there any candidate ratio
+  * strictly inside (lo, hi)?" and (b) a probe point. Both come from the
+  * Stern–Brocot tree: the *simplest* fraction in an interval is an ancestor
+  * of every fraction in it, so it simultaneously minimizes numerator and
   * denominator — if the simplest fraction violates p,q ≤ n, no candidate
-  * ratio lies in the interval.
+  * ratio lies in the interval. Baseline's all-ratio set is that search at
+  * radius 1, so no ratio list is built here.
   */
 object RatioUtils {
 
@@ -31,25 +33,6 @@ object RatioUtils {
       else Some((p, q))
     }
     if (lo < hi) descend(0L, 1L, 1L, 0L) else None
-  }
-
-  /** Every candidate ratio (p, q) (reduced, 1 ≤ p,q ≤ n), ascending by p/q,
-    * in O(1) memory. The ratios up to 1 are the Farey sequence of order n.
-    * Each ratio above 1 is the reciprocal of a Farey term below 1: walking
-    * the terms p/q upward and emitting q/(q−p), the reciprocal of the
-    * mirrored term (q−p)/q, yields them in ascending order.
-    */
-  def candidateRatios(n: Int): Iterator[(Long, Long)] = {
-    // consecutive Farey terms a/b < c/d of order n give the next one,
-    // (k·c − a)/(k·d − b) with k = ⌊(n + b)/d⌋
-    def farey: Iterator[(Long, Long)] =
-      if (n < 1) Iterator.empty
-      else
-        Iterator.iterate((0L, 1L, 1L, n.toLong)) { case (a, b, c, d) =>
-          val k = (n + b) / d
-          (c, d, k * c - a, k * d - b)
-        }.map { case (_, _, c, d) => (c, d) }.takeWhile { case (p, q) => p <= q }
-    farey ++ farey.filter { case (p, q) => p < q }.map { case (p, q) => (q, q - p) }
   }
 
   /** φ(a,b) = 2√(ab)/(a+b): the surrogate-vs-density factor; 1 iff a=b. */

@@ -8,9 +8,9 @@ import scala.util.Random
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
+  * Driver heap is set via ``Test / javaOptions`` in build.sbt: from
+  * SPARK_DRIVER_MEM when set, else half the physical memory clamped to
+  * 2–8 GB. Broadcast joins are disabled so shuffle/join papers actually
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
   * paper's contribution is the broadcast side.
   */
@@ -30,10 +30,11 @@ object SparkSpec {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     s.sparkContext.setLogLevel("WARN")
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output that tells the heap the JVM got and the
+    // cores the session runs on.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
+      s"maxHeap=${Runtime.getRuntime.maxMemory >> 20}MB " +
       s"master=${s.sparkContext.master} " +
       s"defaultParallelism=${s.sparkContext.defaultParallelism}"
     )

@@ -28,6 +28,10 @@ class XYCoreSparkSpec extends SparkSpec {
   private def coreEdges(base: DataFrame, core: Candidate): DataFrame =
     if (core.isEmpty) base.limit(0) else TestGraphs.pairSubgraph(base, core.s, core.t)
 
+  /** The edges of a core on the driver. */
+  private def collectSub(base: DataFrame, core: Candidate): LocalDigraph =
+    if (core.isEmpty) LocalDigraph.fromPairs(Nil) else LocalDigraph.fromEdges(base, core.s, core.t)
+
   private def peelBoth(pairs: Seq[(Long, Long)], x: Int, y: Int): (Candidate, Candidate) = {
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
     val sparkCore = peel(base, x, y)
@@ -116,7 +120,7 @@ class XYCoreSparkSpec extends SparkSpec {
     assert(warm.s.toSeq === cold.s.toSeq && warm.t.toSeq === cold.t.toSeq && warm.m === cold.m)
     // the driver finish keeps the core's edges
     assert(TestGraphs.edgePairs(warmSub).toSet ===
-      TestGraphs.edgePairs(XYCore.collectSub(base, cold)).toSet)
+      TestGraphs.edgePairs(collectSub(base, cold)).toSet)
     base.unpersist()
   }
 
@@ -221,7 +225,7 @@ class XYCoreSparkSpec extends SparkSpec {
     val pairs = TestGraphs.randomPairs(15, 60, seed = 13)
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
     val core = peel(base, 2, 1)
-    val sub = XYCore.collectSub(base, core)
+    val sub = collectSub(base, core)
     val lc = LocalXYCore.peel(LocalDigraph.fromPairs(pairs), 2, 1)
     assert(Candidate.of(sub).s.toSeq === Candidate.of(lc).s.toSeq)
     assert(Candidate.of(sub).t.toSeq === Candidate.of(lc).t.toSeq)

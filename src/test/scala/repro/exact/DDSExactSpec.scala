@@ -96,6 +96,17 @@ class DDSExactSpec extends AnyFunSuite {
     }
   }
 
+  for (seed <- 1 to 4) {
+    test(s"Baseline probes every reduced ratio p/q with p, q <= n exactly once (seed=$seed)") {
+      @annotation.tailrec
+      def gcd(a: Long, b: Long): Long = if (b == 0) a else gcd(b, a % b)
+      val engine = localEngine(TestGraphs.randomPairs(6 + 3 * seed, 10 * seed, 4000 + seed))
+      val n = engine.n
+      val ratios = (1L to n).map(p => (1L to n).count(q => gcd(p, q) == 1)).sum
+      assert(DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.Baseline)).probes === ratios, s"n=$n")
+    }
+  }
+
   test("DC probes far fewer ratios than Baseline") {
     val pairs = TestGraphs.randomPairs(12, 50, seed = 4242)
     val b = runMode(pairs, DDSExact.Mode.Baseline)

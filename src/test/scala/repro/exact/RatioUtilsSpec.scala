@@ -91,7 +91,8 @@ class RatioUtilsSpec extends AnyFunSuite {
   test("simplestBetween equals a scan of every fraction p/q with p, q <= n <= 30") {
     val rnd = new Random(44)
     for (n <- 1 to 30) {
-      val ratios = RatioUtils.candidateRatios(n).map { case (p, q) => p.toDouble / q }.toVector
+      // every candidate ratio p/q with p, q <= n, as its distinct values in ascending order
+      val ratios = (for (p <- 1 to n; q <- 1 to n) yield p.toDouble / q).distinct.sorted.toVector
       val fractions = (0 to n + 1).flatMap(p => (1 to n).map(q => p.toDouble / q))
       def endpoint(): Double = rnd.nextInt(3) match {
         case 0 => fractions(rnd.nextInt(fractions.size))
@@ -133,15 +134,5 @@ class RatioUtilsSpec extends AnyFunSuite {
     assert(RatioUtils.pruneRadius(1.0) === 1.0)
     assert(RatioUtils.pruneRadius(1.5) === 1.0)
     assert(RatioUtils.pruneRadius(0.0) > 1e100)
-  }
-
-  test("candidateRatios streams every reduced p/q with p,q <= n in ascending order") {
-    @annotation.tailrec
-    def gcd(a: Int, b: Int): Int = if (b == 0) a else gcd(b, a % b)
-    for (n <- 0 to 40) {
-      val expected = (for (p <- 1 to n; q <- 1 to n if gcd(p, q) == 1) yield (p.toLong, q.toLong))
-        .sortWith { case ((p1, q1), (p2, q2)) => p1 * q2 < p2 * q1 }
-      assert(RatioUtils.candidateRatios(n).toSeq === expected, s"n=$n")
-    }
   }
 }
