@@ -1,8 +1,7 @@
 package repro.approx
 
-import org.apache.spark.sql.DataFrame
-import repro.core.{LocalXYCore, PairState, XYCore}
-import repro.graph.{DigraphOps, EdgeScan, LocalDigraph}
+import repro.core.{LocalXYCore, PairState, SparkCoreEngine, XYCore}
+import repro.graph.{DigraphOps, LocalDigraph}
 
 /** Bahmani-style batch-peeling approximation (the natural dataflow
   * baseline: the original was designed for MapReduce).
@@ -23,21 +22,21 @@ import repro.graph.{DigraphOps, EdgeScan, LocalDigraph}
   */
 object BSApprox {
 
-  /** Spark implementation: the loop starts from the whole graph's degrees
-    * ([[EdgeScan.allDegrees]], one narrow pass) and peels with no local
-    * cutoff, so each later round is one [[EdgeScan.degrees]] pass over the
-    * cached base edges. ``wallBudgetMs``: stop (marking the note) when
-    * exceeded — the baseline being slow on large graphs is part of the
-    * reproduced story, not a failure.
+  /** Spark implementation over ``engine``'s cached canonical edges, with
+    * no copy of its own: the loop starts from the whole graph's degrees
+    * that the engine keeps (one [[repro.graph.EdgeScan.allDegrees]] pass,
+    * if nothing read them yet) and peels ``engine.base`` with no local
+    * cutoff, so each later round is one [[repro.graph.EdgeScan.degrees]]
+    * pass over the cached edges. ``wallBudgetMs``: stop (marking the note)
+    * when exceeded — the baseline being slow on large graphs is part of
+    * the reproduced story, not a failure.
     */
-  def run(edges0: DataFrame, eps: Double = 1.0, gridFactor: Double = 2.0,
+  def run(engine: SparkCoreEngine, eps: Double = 1.0, gridFactor: Double = 2.0,
           wallBudgetMs: Long = Long.MaxValue): ApproxResult = {
     requireParams(eps, gridFactor)
     val t0 = System.nanoTime()
-    val base = DigraphOps.canonicalize(edges0).cache()
-    try rounds("BSApprox", f"eps=$eps%.1f grid=$gridFactor%.1f", Left(EdgeScan.allDegrees(base)),
-               eps, gridFactor, wallBudgetMs, t0)((p, x, y) => XYCore.peel(base, x, y, p))
-    finally { base.unpersist(); () }
+    rounds("BSApprox", f"eps=$eps%.1f grid=$gridFactor%.1f", Left(engine.allDegrees),
+           eps, gridFactor, wallBudgetMs, t0)((p, x, y) => XYCore.peel(engine.base, x, y, p))
   }
 
   /** Local version with identical semantics (tests, small graphs): the

@@ -76,7 +76,7 @@ object Tables {
   def table2(spark: SparkSession, specs: Seq[DatasetSpec] = Datasets.all): Seq[String] = {
     val rows = specs.map { spec =>
       withEngine(spec.build(spark)) { (engine, setupMs) =>
-        val st = DigraphOps.stats(engine.base)
+        val st = DigraphOps.stats(engine.allDegrees)
         val ca = CoreApprox.run(engine)
         val row =
           f"${spec.name}%-7s n=${st.n}%8d m=${st.m}%9d maxOut=${st.maxOutDeg}%6d maxIn=${st.maxInDeg}%6d " +
@@ -124,7 +124,7 @@ object Tables {
         // CoreApprox before BSApprox: hundreds of BS rounds degrade the
         // shared session and would pollute CoreApprox's timing
         val ca = CoreApprox.run(engine).result
-        val bs = BSApprox.run(engine.base, eps = 1.0, gridFactor = 2.0, wallBudgetMs = bsBudgetMs)
+        val bs = BSApprox.run(engine, eps = 1.0, gridFactor = 2.0, wallBudgetMs = bsBudgetMs)
         val out = Seq(
           s"${spec.name} (engine set-up: ${setupMs}ms; driver edge collect for sequential baseline: ${loadMs}ms)",
           s"  ${peel.row}",

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import scala.collection.mutable.ArrayBuffer
-import repro.graph.{DigraphOps, EdgeScan, LocalDigraph}
+import repro.graph.{DigraphOps, EdgeScan, LocalDigraph, PairDegrees}
 
 /** A computed [x,y]-core: side sizes and edge count up front, edges
   * materialized lazily (flow networks need them, size probes do not).
@@ -120,11 +120,15 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
 
   private lazy val whole: Option[LocalDigraph] = Option.when(m <= localCutoff)(LocalDigraph.fromEdges(base))
 
-  /** Every source and destination with its degree (read above the cutoff only). */
-  private lazy val all = EdgeScan.allDegrees(base)
+  /** Every source and destination of ``base`` with its degree: one
+    * [[EdgeScan.allDegrees]] pass, run at the first read (``n`` reads it
+    * above the cutoff) and kept. Callers read it and must not write its
+    * arrays: cold core calls peel from it.
+    */
+  lazy val allDegrees: PairDegrees = EdgeScan.allDegrees(base)
 
   // every vertex is a source or a destination
-  lazy val n: Long = whole.fold(all.vertexCount)(_.n.toLong)
+  lazy val n: Long = whole.fold(allDegrees.vertexCount)(_.n.toLong)
 
   // canonical edges have no isolated vertex: the graph is its own [1,1]-core
   def fullSub(): LocalDigraph = whole.getOrElse(LocalDigraph.fromEdges(base))
@@ -136,7 +140,7 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
     val own = CoreEngine.ownWarm(this, x, y, warm)
     val onDriver = (own.flatMap(_.toOption) ++ kept.collect { case (cx, cy, g) if cx <= x && cy <= y => g })
       .minByOption(_.m)
-    val from = onDriver.map(Right(_)).orElse(own).getOrElse(Left(all))
+    val from = onDriver.map(Right(_)).orElse(own).getOrElse(Left(allDegrees))
     val peeled = XYCore.peel(base, x, y, from, localCutoff)
     if (peeled.fold(_.m == 0, _.isEmpty)) None
     else {

@@ -34,8 +34,8 @@ object DensityFlow {
     if (sub.isEmpty) return None
     val sIdx = number(sub.hasOut)
     val tIdx = number(sub.hasIn)
-    val dinic = network(sub, sIdx, tIdx, e, d, p, q)
-    val gain = d * sub.m - dinic.maxflow(Source, Sink) // ``network`` checked d·m
+    val (dinic, flow) = solve(sub, sIdx, tIdx, e, d, p, q)
+    val gain = d * sub.m - flow // ``solve`` checked d·m
     if (gain == 0) return None // min-cut == d·m: nothing above e/d
     val side = dinic.minCutSourceSide(Source)
 
@@ -62,16 +62,30 @@ object DensityFlow {
     */
   private[flow] def maxflow(sub: LocalDigraph, e: Long, d: Long, p: Long, q: Long): Long =
     if (sub.isEmpty) 0L
-    else network(sub, number(sub.hasOut), number(sub.hasIn), e, d, p, q).maxflow(Source, Sink)
+    else solve(sub, number(sub.hasOut), number(sub.hasIn), e, d, p, q)._2
 
-  /** The vertex-only network for level e/d at ratio p/q over ``sub``, with S
-    * and T numbered by ``sIdx`` and ``tIdx``: 2+|S|+|T| nodes, m+2|S|+|T|
-    * arcs.
+  /** The max flow of the network for level e/d at ratio p/q over ``sub``,
+    * with S and T numbered by ``sIdx`` and ``tIdx``: the solved ``Dinic``,
+    * whose residual graph gives the minimal min-cut side, and the flow's
+    * value in the network of the object comment.
+    *
+    * The ``Dinic`` is that network with 2+|S|+|T| nodes but at most
+    * m+|S|+|T| arcs, and its min cuts are the same vertex sets:
+    *  - Each α_u's direct path s→α_u→t is folded. Every cut cuts exactly
+    *    one of its two arcs, so taking c_u = min(d·d⁺(u), e·q) off both
+    *    lowers every cut by Σ c_u, which is added back to the flow's value.
+    *    At most the s→α_u arc is left. An α_u→t arc with capacity left is
+    *    dropped too: α_u then has no arc in, so it carries no flow and is
+    *    never reachable from s, with or without the arc. (Inside the cores
+    *    that CoreExact passes, d·d⁺(u) ≥ e·q always.)
+    *  - Dinic starts from a greedy flow: one pass over the edges in order
+    *    sends min(s→α_u left, d, β_v→t left) along each s→α_u→β_v→t.
     */
-  private def network(sub: LocalDigraph, sIdx: Array[Int], tIdx: Array[Int],
-                      e: Long, d: Long, p: Long, q: Long): Dinic = {
+  private def solve(sub: LocalDigraph, sIdx: Array[Int], tIdx: Array[Int],
+                    e: Long, d: Long, p: Long, q: Long): (Dinic, Long) = {
     Math.multiplyExact(d, sub.m.toLong) // the source arcs' total, which bounds every flow
     val ns = sub.sSize
+    val nt = sub.tSize
     val tBase = 2 + ns
     val sCost = Math.multiplyExact(e, q)
     val tCost = Math.multiplyExact(e, p)
@@ -80,18 +94,38 @@ object DensityFlow {
     var k = 0
     while (k < sub.m) { outDeg(sIdx(sub.src(k))) += 1; k += 1 }
 
-    val dinic = new Dinic(tBase + sub.tSize)
+    // capacity left on s→α_u after the fold, then after the greedy flow
+    val sourceLeft = new Array[Long](ns)
+    var folded = 0L
     var i = 0
     while (i < ns) {
-      dinic.addEdge(Source, 2 + i, d * outDeg(i))
-      dinic.addEdge(2 + i, Sink, sCost)
+      val a = d * outDeg(i)
+      folded += math.min(a, sCost)
+      sourceLeft(i) = math.max(a - sCost, 0L)
+      i += 1
+    }
+    val sinkLeft = Array.fill(nt)(tCost) // capacity left on β_v→t
+
+    val dinic = new Dinic(tBase + nt, sub.m + ns + nt)
+    k = 0
+    while (k < sub.m) {
+      val u = sIdx(sub.src(k))
+      val v = tIdx(sub.dst(k))
+      val f = math.min(math.min(sourceLeft(u), d), sinkLeft(v))
+      sourceLeft(u) -= f
+      sinkLeft(v) -= f
+      dinic.addEdge(2 + u, tBase + v, d, f)
+      k += 1
+    }
+    i = 0
+    while (i < ns) {
+      val a = d * outDeg(i)
+      if (a > sCost) dinic.addEdge(Source, 2 + i, a - sCost, a - sCost - sourceLeft(i))
       i += 1
     }
     var j = 0
-    while (j < sub.tSize) { dinic.addEdge(tBase + j, Sink, tCost); j += 1 }
-    k = 0
-    while (k < sub.m) { dinic.addEdge(2 + sIdx(sub.src(k)), tBase + tIdx(sub.dst(k)), d); k += 1 }
-    dinic
+    while (j < nt) { dinic.addEdge(tBase + j, Sink, tCost, tCost - sinkLeft(j)); j += 1 }
+    (dinic, folded + dinic.maxflow(Source, Sink))
   }
 
   /** Numbers the masked vertices 0, 1, ... in index order; -1 for the rest. */

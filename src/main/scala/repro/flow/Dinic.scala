@@ -9,57 +9,110 @@ package repro.flow
   * flows and cuts are exact; the caller bounds the total capacity below
   * 2⁶³.
   *
-  * Arcs live in flat primitive arrays (head, residual capacity, next arc
-  * of the same tail) that double when full; ``maxflow`` works on them in
-  * place.
+  * An edge may be added with a flow already on it; ``maxflow`` then starts
+  * from that flow, which must be feasible (conserved at every vertex but s
+  * and t), and returns the value of a maximum flow, the preloaded part
+  * included.
+  *
+  * Edges are recorded in flat primitive arrays sized by ``edgeHint``, the
+  * number of ``addEdge`` calls the caller expects (they grow only past
+  * it). ``maxflow`` lays the residual arcs out once in CSR (compressed
+  * sparse row) order, grouped by tail, each arc with the index of its
+  * reverse, and works on them in place.
   */
-final class Dinic(val n: Int) {
-  private var arcs = 0                             // arcs added, reverses included
-  private var head = new Array[Int](16)            // arc -> head vertex
-  private var cap  = new Array[Long](16)           // arc -> residual capacity
-  private var nxt  = new Array[Int](16)            // arc -> next arc of the same tail
-  private val firstOf = Array.fill(n)(-1)          // vertex -> first arc
+final class Dinic(val n: Int, edgeHint: Int = 16) {
+  private var edges = 0                                    // edges added
+  private var eTail = new Array[Int](math.max(edgeHint, 1))
+  private var eHead = new Array[Int](eTail.length)
+  private var eCap  = new Array[Long](eTail.length)        // residual capacity tail→head
+  private var eFlow = new Array[Long](eTail.length)        // flow on the edge = residual head→tail
+
+  // residual arcs in CSR order, built by ``maxflow``: arcs of u are off(u) until off(u+1)
+  private val off = new Array[Int](n + 1)
+  private var head: Array[Int] = _                         // arc -> head vertex
+  private var cap: Array[Long] = _                         // arc -> residual capacity
+  private var rev: Array[Int] = _                          // arc -> its reverse arc
   private var solved = false
 
-  /** Add a directed edge u→v with capacity c (reverse edge capacity 0).
-    * Returns the forward edge index (even); reverse is index+1.
+  /** Add a directed edge u→v with capacity c that already carries ``flow``
+    * (0 ≤ flow ≤ c): residual c − flow forward and ``flow`` backward.
     */
-  def addEdge(u: Int, v: Int, c: Long): Int = {
+  def addEdge(u: Int, v: Int, c: Long, flow: Long = 0L): Unit = {
     require(c >= 0, s"negative capacity $c")
-    if (arcs + 2 > head.length) {
-      val len = 2 * head.length
-      head = java.util.Arrays.copyOf(head, len)
-      cap = java.util.Arrays.copyOf(cap, len)
-      nxt = java.util.Arrays.copyOf(nxt, len)
+    require(flow >= 0 && flow <= c, s"flow $flow outside [0, $c]")
+    require(!solved, "maxflow already called on this network")
+    if (edges == eTail.length) {
+      val len = 2 * edges
+      eTail = java.util.Arrays.copyOf(eTail, len)
+      eHead = java.util.Arrays.copyOf(eHead, len)
+      eCap = java.util.Arrays.copyOf(eCap, len)
+      eFlow = java.util.Arrays.copyOf(eFlow, len)
     }
-    val id = arcs
-    head(id) = v; cap(id) = c; nxt(id) = firstOf(u); firstOf(u) = id
-    head(id + 1) = u; cap(id + 1) = 0; nxt(id + 1) = firstOf(v); firstOf(v) = id + 1
-    arcs += 2
-    id
+    eTail(edges) = u; eHead(edges) = v; eCap(edges) = c - flow; eFlow(edges) = flow
+    edges += 1
+  }
+
+  /** Lays each edge out as two residual arcs grouped by tail, and returns
+    * the preloaded flow's value out of s after checking it is conserved.
+    */
+  private def layout(s: Int, t: Int): Long = {
+    val arcs = 2 * edges
+    head = new Array[Int](arcs)
+    cap = new Array[Long](arcs)
+    rev = new Array[Int](arcs)
+    val excess = new Array[Long](n)
+    var e = 0
+    while (e < edges) {
+      off(eTail(e) + 1) += 1; off(eHead(e) + 1) += 1
+      excess(eTail(e)) -= eFlow(e); excess(eHead(e)) += eFlow(e)
+      e += 1
+    }
+    var u = 0
+    while (u < n) {
+      require(u == s || u == t || excess(u) == 0, s"initial flow not conserved at $u")
+      off(u + 1) += off(u); u += 1
+    }
+    val next = java.util.Arrays.copyOf(off, n)
+    e = 0
+    while (e < edges) {
+      val a = next(eTail(e)); next(eTail(e)) += 1
+      val b = next(eHead(e)); next(eHead(e)) += 1
+      head(a) = eHead(e); cap(a) = eCap(e); rev(a) = b
+      head(b) = eTail(e); cap(b) = eFlow(e); rev(b) = a
+      e += 1
+    }
+    eTail = null; eHead = null; eCap = null; eFlow = null
+    -excess(s)
   }
 
   private val level = new Array[Int](n)
   private val it    = new Array[Int](n)
   private val queue = new Array[Int](n)
 
+  /** Levels: each vertex's residual distance to t, found by a BFS back
+    * from t that stops as soon as s has one (false when s cannot reach t).
+    * A DFS that steps only to a vertex one level closer to t then enters no
+    * vertex that cannot reach t.
+    */
   private def bfs(s: Int, t: Int): Boolean = {
     java.util.Arrays.fill(level, -1)
     var qh = 0; var qt = 0
-    queue(qt) = s; qt += 1; level(s) = 0
+    queue(qt) = t; qt += 1; level(t) = 0
     while (qh < qt) {
       val u = queue(qh); qh += 1
-      var e = firstOf(u)
-      while (e != -1) {
+      var e = off(u)
+      val end = off(u + 1)
+      while (e < end) {
         val v = head(e)
-        if (cap(e) > 0 && level(v) == -1) {
+        if (level(v) == -1 && cap(rev(e)) > 0) { // the residual arc v→u
           level(v) = level(u) + 1
+          if (v == s) return true
           queue(qt) = v; qt += 1
         }
-        e = nxt(e)
+        e += 1
       }
     }
-    level(t) != -1
+    false
   }
 
   // explicit DFS stack, one frame per level: node, flow left to route, flow routed
@@ -76,15 +129,16 @@ final class Dinic(val n: Int) {
     stNode(0) = s; stRem(0) = pushed; stRes(0) = 0
     while (true) {
       val u = stNode(top)
+      val end = off(u + 1)
       var descended = false
-      while (u != t && !descended && it(u) != -1 && stRem(top) > 0) {
+      while (u != t && !descended && it(u) < end && stRem(top) > 0) {
         val e = it(u)
         val v = head(e)
-        if (cap(e) > 0 && level(v) == level(u) + 1) {
+        if (cap(e) > 0 && level(v) == level(u) - 1) {
           top += 1
           stNode(top) = v; stRem(top) = math.min(stRem(top - 1), cap(e)); stRes(top) = 0
           descended = true
-        } else it(u) = nxt(e)
+        } else it(u) = e + 1
       }
       if (!descended) {
         // frame done: its parent's current arc carries the d it routed
@@ -94,25 +148,25 @@ final class Dinic(val n: Int) {
         val e = it(stNode(top))
         if (d > 0) {
           cap(e) -= d
-          cap(e ^ 1) += d
+          cap(rev(e)) += d
           stRes(top) += d
           stRem(top) -= d
-        } else it(stNode(top)) = nxt(e) // dead end; advance
+        } else it(stNode(top)) = e + 1 // dead end; advance
       }
     }
     sys.error("unreachable")
   }
 
-  /** Compute the max flow from s to t. Call at most once: the flow is
-    * routed in place, so the arcs keep only their residual capacities.
+  /** Compute the max flow from s to t, starting from the edges' initial
+    * flow. Call at most once: the flow is routed in place, so the arcs keep
+    * only their residual capacities.
     */
   def maxflow(s: Int, t: Int): Long = {
     require(!solved, "maxflow already called on this network")
     solved = true
-    var total = 0L
+    var total = layout(s, t)
     while (bfs(s, t)) {
-      var u = 0
-      while (u < n) { it(u) = firstOf(u); u += 1 }
+      System.arraycopy(off, 0, it, 0, n)
       var f = dfs(s, t, Long.MaxValue)
       while (f > 0) {
         total += f
@@ -126,16 +180,17 @@ final class Dinic(val n: Int) {
     * source side. Valid only after ``maxflow``.
     */
   def minCutSourceSide(s: Int): Array[Boolean] = {
+    require(solved, "minCutSourceSide needs maxflow first")
     val seen = new Array[Boolean](n)
     var qh = 0; var qt = 0
     queue(qt) = s; qt += 1; seen(s) = true
     while (qh < qt) {
       val u = queue(qh); qh += 1
-      var e = firstOf(u)
-      while (e != -1) {
+      var e = off(u)
+      while (e < off(u + 1)) {
         val v = head(e)
         if (cap(e) > 0 && !seen(v)) { seen(v) = true; queue(qt) = v; qt += 1 }
-        e = nxt(e)
+        e += 1
       }
     }
     seen

@@ -34,14 +34,12 @@ object DigraphOps {
     if (sSize <= 0 || tSize <= 0) 0.0
     else 2.0 * m / (sSize / math.sqrt(a) + math.sqrt(a) * tSize)
 
-  /** Graph summary statistics of canonical ``edges``, from one
-    * [[EdgeScan.allDegrees]] pass.
+  /** Graph summary statistics from the whole graph's degrees (an
+    * [[EdgeScan.allDegrees]] pass, or the one a ``SparkCoreEngine`` keeps).
     */
-  def stats(edges: DataFrame): GraphStats = {
-    val d = EdgeScan.allDegrees(edges)
+  def stats(d: PairDegrees): GraphStats =
     GraphStats(d.vertexCount, d.m, d.s.length.toLong, d.t.length.toLong,
                d.out.maxOption.getOrElse(0).toLong, d.in.maxOption.getOrElse(0).toLong)
-  }
 
   /** Build an edge DataFrame from in-memory pairs (tests, toy graphs). */
   def edgesDf(spark: SparkSession, pairs: Seq[(Long, Long)]): DataFrame = {

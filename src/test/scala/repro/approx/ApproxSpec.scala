@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.SparkSpec.jobShapes
 import repro.core.{Candidate, LocalCoreEngine, LocalXYCore, SparkCoreEngine}
-import repro.graph.{DigraphOps, EdgeScan, LocalDigraph}
+import repro.graph.{DigraphOps, LocalDigraph}
 import repro.ref.BruteForce
 
 /** Approximation algorithms: guarantees vs brute force, Spark/local parity. */
@@ -139,7 +139,11 @@ class ApproxSpec extends AnyFunSuite {
       val df = TestGraphs.df(spark, pairs)
       for ((eps, gridFactor) <- Seq((1.0, 2.0), (0.5, 3.0))) {
         var s: ApproxResult = null
-        val jobs = jobShapes { s = BSApprox.run(df, eps = eps, gridFactor = gridFactor) }
+        val engine = new SparkCoreEngine(df)
+        val (jobs, again) =
+          try (jobShapes { s = BSApprox.run(engine, eps = eps, gridFactor = gridFactor) },
+               jobShapes(BSApprox.run(engine, eps = eps, gridFactor = gridFactor)))
+          finally engine.release()
         val l = BSApprox.runLocal(local(pairs), eps = eps, gridFactor = gridFactor)
         assert(math.abs(s.density - l.density) < 1e-9,
           s"eps=$eps grid=$gridFactor spark=${s.density} local=${l.density}")
@@ -157,48 +161,53 @@ class ApproxSpec extends AnyFunSuite {
         // after the allDegrees pass, one narrow degree pass per round
         assert(jobs.takeRight(rounds).forall(_ == 1), jobs)
         assert(jobs.size - rounds === allDegreesJobs(df), jobs)
+        // a second run on the engine reads its kept degrees and cached edges: no copy, no degree pass
+        assert(again === jobs.takeRight(rounds), again)
       }
     }
   }
 
-  /** The Spark jobs of BSApprox.run's allDegrees pass: a fresh cached
-    * canonical frame, read for the first time.
+  /** The Spark jobs of BSApprox.run's allDegrees pass: the first read of a
+    * fresh engine's degrees, which also fills its cache.
     */
   private def allDegreesJobs(df: org.apache.spark.sql.DataFrame): Int = {
-    val base = DigraphOps.canonicalize(df).cache()
-    try jobShapes(EdgeScan.allDegrees(base)).size finally { base.unpersist(); () }
+    val engine = new SparkCoreEngine(df)
+    try jobShapes(engine.allDegrees).size finally engine.release()
+  }
+
+  /** ``BSApprox.run`` on a fresh engine over ``pairs``, released after. */
+  private def runSpark(pairs: Seq[(Long, Long)], eps: Double = 1.0, gridFactor: Double = 2.0,
+                       wallBudgetMs: Long = Long.MaxValue): ApproxResult = {
+    val engine = new SparkCoreEngine(TestGraphs.df(repro.SparkSpec.shared, pairs))
+    try BSApprox.run(engine, eps, gridFactor, wallBudgetMs) finally engine.release()
   }
 
   test("BSApprox rejects gridFactor <= 1 (its ratio grid would not grow)") {
     val pairs = Seq((1L, 2L), (2L, 3L), (1L, 3L))
-    val df = TestGraphs.df(repro.SparkSpec.shared, pairs)
     for (gridFactor <- Seq(1.0, 0.5, Double.NaN)) {
       intercept[IllegalArgumentException](BSApprox.runLocal(local(pairs), gridFactor = gridFactor))
-      val jobs = jobShapes(intercept[IllegalArgumentException](BSApprox.run(df, gridFactor = gridFactor))).size
+      val jobs = jobShapes(intercept[IllegalArgumentException](runSpark(pairs, gridFactor = gridFactor))).size
       assert(jobs === 0)
     }
   }
 
   test("BSApprox rejects eps < 0 (a round could remove nothing, forever)") {
     val pairs = Seq((1L, 2L), (2L, 3L), (1L, 3L))
-    val df = TestGraphs.df(repro.SparkSpec.shared, pairs)
     for (eps <- Seq(-0.5, Double.NaN)) {
       intercept[IllegalArgumentException](BSApprox.runLocal(local(pairs), eps = eps))
-      val jobs = jobShapes(intercept[IllegalArgumentException](BSApprox.run(df, eps = eps))).size
+      val jobs = jobShapes(intercept[IllegalArgumentException](runSpark(pairs, eps = eps))).size
       assert(jobs === 0)
     }
   }
 
   test("BSApprox Spark on empty input") {
-    val spark = repro.SparkSpec.shared
-    val r = BSApprox.run(TestGraphs.df(spark, Seq.empty))
+    val r = runSpark(Seq.empty)
     assert(r.density === 0.0)
   }
 
   test("BSApprox budget hit is reported") {
-    val spark = repro.SparkSpec.shared
     val pairs = TestGraphs.skewedPairs(50, 300, seed = 9)
-    val r = BSApprox.run(TestGraphs.df(spark, pairs), wallBudgetMs = 0)
+    val r = runSpark(pairs, wallBudgetMs = 0)
     assert(r.note.contains("budget hit"))
   }
 
@@ -211,7 +220,7 @@ class ApproxSpec extends AnyFunSuite {
       val core11 = Candidate.of(LocalXYCore.peel(g, 1, 1))
       val peel = PeelApprox.run(g)
       val bsLocal = BSApprox.runLocal(g)
-      val bsSpark = BSApprox.run(df)
+      val bsSpark = runSpark(pairs)
       assert(bsSpark.density === bsLocal.density)
       assert((bsSpark.sSize, bsSpark.tSize) === ((bsLocal.sSize, bsLocal.tSize)))
       val ca = CoreApprox.run(new LocalCoreEngine(g))

@@ -155,6 +155,18 @@ class DDSExactSpec extends AnyFunSuite {
     assert(m === r.best.m)
   }
 
+  test("CoreExact's work on a fixed skewed graph is pinned") {
+    // Read from the Dinic that started every network from zero flow on its
+    // textbook arcs (no folded path, no preloaded flow). A cheaper min-cut
+    // must not change how many ratios and networks the search visits, nor
+    // its answer.
+    val r = runMode(TestGraphs.skewedPairs(2000, 12000, seed = 4040), DDSExact.Mode.CoreExact)
+    assert((r.probes, r.flows, r.flowNodes.map(_.toLong).sum) === ((46, 111, 15496L)))
+    assert(r.best.s.toSeq === (1L to 12L))
+    assert((r.best.tSize, r.best.t.sum, r.best.m) === ((90, 92898L, 645L)))
+    assert(r.maxXY === Some((60, 4)))
+  }
+
   // ---- Spark engine parity ----
   for (seed <- 1 to 4) {
     test(s"Spark engine CoreExact equals local engine (seed=$seed)") {

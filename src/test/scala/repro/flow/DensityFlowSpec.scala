@@ -114,6 +114,58 @@ class DensityFlowSpec extends AnyFunSuite {
     }
   }
 
+  /** ``bestAbove``'s answer and gain, read from the textbook network on a
+    * plain ``Dinic``: arcs s→α_u (d·d⁺(u)), α_u→t (e·q), α_u→β_v per edge
+    * (d) and β_v→t (e·p), no folded path and no initial flow.
+    */
+  private def textbook(g: LocalDigraph, e: Long, d: Long, p: Long, q: Long): Option[(Candidate, Long)] = {
+    val sV = (0 until g.n).filter(g.outDeg(_) > 0)
+    val tV = (0 until g.n).filter(g.inDeg(_) > 0)
+    val alpha = sV.zipWithIndex.map { case (u, i) => u -> (2 + i) }.toMap
+    val beta = tV.zipWithIndex.map { case (v, j) => v -> (2 + sV.size + j) }.toMap
+    val dinic = new Dinic(2 + sV.size + tV.size)
+    for (u <- sV) { dinic.addEdge(0, alpha(u), d * g.outDeg(u)); dinic.addEdge(alpha(u), 1, e * q) }
+    for (v <- tV) dinic.addEdge(beta(v), 1, e * p)
+    for (k <- 0 until g.m) dinic.addEdge(alpha(g.src(k)), beta(g.dst(k)), d)
+    val gain = d * g.m - dinic.maxflow(0, 1)
+    if (gain == 0) None
+    else {
+      val side = dinic.minCutSourceSide(0)
+      val inS = (0 until g.n).map(u => alpha.get(u).exists(side(_))).toArray
+      val inT = (0 until g.n).map(v => beta.get(v).exists(side(_))).toArray
+      Some((Candidate(g.idsOf(inS), g.idsOf(inT), g.edgesBetween(inS, inT)), gain))
+    }
+  }
+
+  /** ``bestAbove`` equals ``textbook`` on ``g`` at each level e/d. */
+  private def checkAgainstTextbook(g: LocalDigraph, p: Long, q: Long, levels: Seq[(Long, Long)]): Unit =
+    for ((e, d) <- levels) {
+      val got = DensityFlow.bestAbove(g, e, d, p, q)
+        .map(c => (c.s.toSeq, c.t.toSeq, c.m, d * c.m - e * (q * c.sSize + p * c.tSize)))
+      val want = textbook(g, e, d, p, q).map { case (c, gain) => (c.s.toSeq, c.t.toSeq, c.m, gain) }
+      assert(got === want, s"level $e/$d at ratio $p/$q")
+    }
+
+  for (seed <- 1 to 10; (p, q) <- Seq((1L, 2L), (1L, 1L), (3L, 1L), (2L, 3L))) {
+    test(s"the folded, preloaded network gives the textbook network's pair and gain (seed=$seed a=$p/$q)") {
+      val g = TestGraphs.randomLocal(8 + 3 * seed, 10 + 8 * seed, 700 + seed)
+      val top = g.m / (p + q) + 1 // no level reaches m/(p+q)
+      val grid = for (d <- Seq(1L, 3L, 10L); e <- 0L to d * top by math.max(1L, d * top / 8)) yield (e, d)
+      // e/d = k/q, so d·d⁺(u) = e·q at every u of out-degree k: no s→α_u or α_u→t arc
+      val tied = (0 until g.n).map(g.outDeg).filter(_ > 0).distinct.map(k => (k.toLong, q))
+      assert(tied.nonEmpty)
+      checkAgainstTextbook(g, p, q, (0L, 1L) +: (grid ++ tied))
+    }
+  }
+
+  test("the folded, preloaded network on a full bipartite block") {
+    // 5x3 complete bipartite plus a sparse tail: at a = 5/3 the block's level is 15/30
+    val block = for (i <- 0 until 5; j <- 0 until 3) yield (i.toLong, (10 + j).toLong)
+    val g = LocalDigraph.fromPairs(block ++ Seq((20L, 10L), (21L, 11L), (21L, 22L)))
+    for ((p, q) <- Seq((5L, 3L), (1L, 1L), (3L, 5L)))
+      checkAgainstTextbook(g, p, q, Seq((0L, 1L), (1L, 4L), (1L, 2L), (3L, q), (149L, 300L), (151L, 300L), (1L, 1L)))
+  }
+
   test("empty subgraph: no answer") {
     assert(DensityFlow.bestAbove(LocalDigraph.fromPairs(Nil), 0, 1, 1, 1).isEmpty)
   }

@@ -119,6 +119,65 @@ class DinicSpec extends AnyFunSuite {
       assert(cutCap === flow)
     }
 
+  /** A feasible flow on ``edges`` made of random s–t path flows: each path
+    * is found by a DFS in random arc order over arcs with capacity left,
+    * and carries 1 up to its bottleneck.
+    */
+  private def pathFlows(rnd: Random, n: Int, edges: IndexedSeq[(Int, Int, Long)], s: Int, t: Int,
+                        paths: Int): Array[Long] = {
+    val flow = new Array[Long](edges.size)
+    def path(at: Int, seen: Set[Int]): Option[List[Int]] =
+      if (at == t) Some(Nil)
+      else rnd.shuffle(edges.indices.filter(i => edges(i)._1 == at && edges(i)._3 > flow(i) && !seen(edges(i)._2)))
+        .iterator.map(i => path(edges(i)._2, seen + edges(i)._2).map(i :: _)).collectFirst { case Some(p) => p }
+    for (_ <- 0 until paths; p <- path(s, Set(s))) {
+      val bottleneck = p.map(i => edges(i)._3 - flow(i)).min
+      val f = 1 + rnd.nextLong(bottleneck)
+      p.foreach(i => flow(i) += f)
+    }
+    flow
+  }
+
+  for (seed <- 1 to 15)
+    test(s"a preloaded feasible flow still reaches the brute-force min cut (seed=$seed)") {
+      val rnd = new Random(300 + seed)
+      val n = 3 + rnd.nextInt(6)
+      val s = 0
+      val t = n - 1
+      // a chain s → 1 → … → t, so every network has a path, plus random arcs
+      val chain = (0 until n - 1).map(i => (i, i + 1, (rnd.nextInt(10) + 1).toLong))
+      val extra = Seq.fill(2 + rnd.nextInt(12)) {
+        val u = rnd.nextInt(n)
+        var v = rnd.nextInt(n)
+        if (v == u) v = (v + 1) % n
+        (u, v, (rnd.nextInt(10) + 1).toLong)
+      }
+      val edges = rnd.shuffle(chain ++ extra).toIndexedSeq
+      val flow = pathFlows(rnd, n, edges, s, t, paths = 1 + rnd.nextInt(4))
+      assert(flow.exists(_ > 0))
+      val d = new Dinic(n)
+      edges.indices.foreach { i => val (u, v, c) = edges(i); d.addEdge(u, v, c, flow(i)) }
+      val max = d.maxflow(s, t)
+      assert(max === bruteMinCut(n, edges, s, t), s"edges=$edges flow=${flow.toSeq}")
+      val side = d.minCutSourceSide(s)
+      assert(side(s) && !side(t))
+      assert(edges.collect { case (u, v, c) if side(u) && !side(v) => c }.sum === max)
+    }
+
+  test("an edge's initial flow must lie in [0, capacity] and be conserved") {
+    val d = new Dinic(3)
+    intercept[IllegalArgumentException](d.addEdge(0, 1, 5L, -1L))
+    intercept[IllegalArgumentException](d.addEdge(0, 1, 5L, 6L))
+    d.addEdge(0, 1, 5L, 5L)
+    d.addEdge(1, 2, 5L, 5L)
+    assert(d.maxflow(0, 2) === 5L)
+    // 3 units into vertex 1, none out of it
+    val leaky = new Dinic(3)
+    leaky.addEdge(0, 1, 5L, 3L)
+    leaky.addEdge(1, 2, 5L)
+    intercept[IllegalArgumentException](leaky.maxflow(0, 2))
+  }
+
   test("fractional capacities") {
     // 0.3, 0.4, 1.0 and 0.25, scaled ×20; the flow 0.55 scales alike
     val e = Seq((0, 1, 6L), (0, 2, 8L), (1, 3, 20L), (2, 3, 5L))

@@ -92,7 +92,7 @@ class DigraphOpsSpec extends SparkSpec {
   }
 
   test("stats computes n, m and max degrees") {
-    val st = DigraphOps.stats(edges)
+    val st = DigraphOps.stats(all)
     assert(st.n === 4)
     assert(st.m === 8)
     assert(st.maxOutDeg === 3) // vertex 4
@@ -100,7 +100,7 @@ class DigraphOpsSpec extends SparkSpec {
   }
 
   test("stats on empty graph") {
-    val st = DigraphOps.stats(DigraphOps.canonicalize(TestGraphs.df(spark, Seq.empty)))
+    val st = DigraphOps.stats(EdgeScan.allDegrees(DigraphOps.canonicalize(TestGraphs.df(spark, Seq.empty))))
     assert(st.n === 0 && st.m === 0 && st.maxOutDeg === 0 && st.maxInDeg === 0)
   }
 
