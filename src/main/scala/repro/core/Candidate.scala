@@ -13,7 +13,10 @@ final case class Candidate(s: Array[Long], t: Array[Long], m: Long) {
   def isEmpty: Boolean  = s.isEmpty || t.isEmpty || m == 0
   def nonEmpty: Boolean = !isEmpty
   def density: Double = DigraphOps.density(m, sSize.toLong, tSize.toLong)
-  def surrogate(a: Double): Double = DigraphOps.surrogate(m, sSize.toLong, tSize.toLong, a)
+
+  /** ρ(this) > ρ(o), compared exactly as m²·|S_o|·|T_o| > m_o²·|S|·|T|. */
+  def denserThan(o: Candidate): Boolean =
+    nonEmpty && (o.isEmpty || BigInt(m) * m * o.sSize * o.tSize > BigInt(o.m) * o.m * sSize * tSize)
 }
 
 object Candidate {

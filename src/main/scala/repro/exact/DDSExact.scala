@@ -7,16 +7,15 @@ import repro.flow.DensityFlow
   *
   * Three modes sharing one ratio search and the same per-ratio machinery:
   *
-  *  - ``DC``: divide-and-conquer over ratio space. After probing ratio a
-  *    with exact surrogate optimum o_a, every ratio b with
-  *    φ(a,b) ≥ o_a/ρ_best satisfies ρ*(b) ≤ o_a/φ(a,b) ≤ ρ_best, so the
-  *    log-symmetric interval [a/r, a·r] (r = pruneRadius(o_a/ρ_best)) is
-  *    pruned; recursion continues outside, terminating when Stern–Brocot
-  *    certifies an interval ratio-free. Flows still on the full graph.
+  *  - ``DC``: divide-and-conquer over ratio space. A probe at ratio a
+  *    with exact surrogate optimum o_a bounds every ratio b by
+  *    ρ*(b) ≤ o_a/φ(a,b), φ(a,b) = 2√(ab)/(a+b), so b is pruned once that
+  *    bound is ≤ ρ_best ([[Probe.prunes]], in integers), and [[walk]]
+  *    skips the pruned ratios down the Stern–Brocot tree. Flows still on
+  *    the full graph.
   *  - ``Baseline``: the classical algorithm — every candidate ratio p/q
-  *    (p,q ≤ n), solved by flows on the full graph. It is DC with radius
-  *    r = 1, which prunes nothing: the open intervals left and right of a
-  *    probe exclude only the probe, so each ratio is probed exactly once.
+  *    (p,q ≤ n), solved by flows on the full graph. It is the same walk
+  *    with no pruning, which probes each ratio exactly once.
   *    O(n²) ratio probes; this is the algorithm the paper is orders of
   *    magnitude faster than.
   *  - ``CoreExact``: DC plus [x,y]-core pruning — at ratio a = p/q, the
@@ -27,8 +26,8 @@ import repro.flow.DensityFlow
   * Per ratio a = p/q, the surrogate maximum is found by Dinkelbach
   * iteration on the level E/(q|S| + p|T|), which the surrogate is 2√(pq)
   * times: repeat min-cut at e/d = the current candidate's level until no
-  * pair has a strictly higher one. Levels are compared in integers, so the
-  * final candidate is the exact argmax.
+  * pair has a strictly higher one. Levels, densities and the pruning test
+  * are compared in integers, so no ratio is skipped by rounding.
   */
 object DDSExact {
 
@@ -52,6 +51,76 @@ object DDSExact {
     def density: Double = best.density
   }
 
+  /** A probe at ratio p/q whose surrogate argmax has level e/d, with
+    * d = q|S| + p|T|, so o_a = 2√(pq)·e/d.
+    */
+  private[exact] final case class Probe(p: Long, q: Long, e: Long, d: Long) {
+
+    /** Whether ratio u/v is pruned given the best pair so far:
+      * ρ*(u/v) ≤ o_a/φ(a, u/v) ≤ ρ(best), squared and cleared of
+      * denominators with φ² = 4puqv/(pv + uq)², as
+      * e²·|S|·|T|·(pv + uq)² ≤ uv·E²·d². In b = u/v the difference of the
+      * sides is a quadratic with positive leading term, so the pruned ratios
+      * form one interval, which holds a itself (o_a ≤ ρ of the argmax ≤
+      * ρ_best). 0/1 and 1/0 are never pruned (uv = 0).
+      */
+    def prunes(u: Long, v: Long, best: Candidate): Boolean = {
+      val w = BigInt(p) * v + BigInt(u) * q
+      BigInt(e) * e * best.sSize * best.tSize * w * w <= BigInt(u) * v * best.m * best.m * d * d
+    }
+  }
+
+  /** Walks the Stern–Brocot tree over the ratios p/q with p, q ≤ n, calling
+    * ``probe`` on each at most once until every one is probed or pruned by a
+    * probe against ``best``; ``probe`` returns the probe to prune with, or
+    * None to prune nothing. False if ``stop`` ended the walk first.
+    */
+  private[exact] def walk(n: Long, best: => Candidate, stop: => Boolean)
+                         (probe: (Long, Long) => Option[Probe]): Boolean = {
+    // The last k at which pr still prunes (fp + k·tp)/(fq + k·tq) with both
+    // terms ≤ n, by doubling then bisection in one loop. pr prunes k = 0, and
+    // its pruned ratios are an interval, so its pruned k are too.
+    def lastPruned(pr: Probe, fp: Long, fq: Long, tp: Long, tq: Long): Long = {
+      val kMax = math.min(if (tp > 0) (n - fp) / tp else n, if (tq > 0) (n - fq) / tq else n)
+      var (k, step, grow) = (0L, 1L, true)
+      while (step > 0)
+        if (k + step <= kMax && pr.prunes(fp + (k + step) * tp, fq + (k + step) * tq, best)) {
+          k += step
+          if (grow) step *= 2
+        } else { grow = false; step /= 2 }
+      k
+    }
+
+    // A node is the open interval between Stern–Brocot neighbours
+    // lp/lq < rp/rq, each endpoint with the probe that prunes it, if any.
+    // Every fraction inside is the mediant or one of its descendants, whose
+    // terms are at least the mediant's, so a mediant past n ends the node.
+    final case class Node(lp: Long, lq: Long, lPr: Option[Probe], rp: Long, rq: Long, rPr: Option[Probe])
+    val stack = scala.collection.mutable.Stack(Node(0L, 1L, None, 1L, 0L, None))
+    while (stack.nonEmpty) {
+      if (stop) return false
+      var nd = stack.pop()
+      def fits = nd.lp + nd.rp <= n && nd.lq + nd.rq <= n
+      // jump each endpoint past the run of mediants its probe prunes, until
+      // neither prunes the mediant
+      var moved = true
+      while (moved && fits) {
+        val k = nd.lPr.fold(0L)(lastPruned(_, nd.lp, nd.lq, nd.rp, nd.rq))
+        nd = nd.copy(lp = nd.lp + k * nd.rp, lq = nd.lq + k * nd.rq)
+        val j = nd.rPr.fold(0L)(lastPruned(_, nd.rp, nd.rq, nd.lp, nd.lq))
+        nd = nd.copy(rp = nd.rp + j * nd.lp, rq = nd.rq + j * nd.lq)
+        moved = k + j > 0
+      }
+      if (fits) {
+        val (p, q) = (nd.lp + nd.rp, nd.lq + nd.rq)
+        val pr = probe(p, q)
+        stack.push(Node(nd.lp, nd.lq, nd.lPr, p, q, pr))
+        stack.push(Node(p, q, pr, nd.rp, nd.rq, nd.rPr))
+      }
+    }
+    true
+  }
+
   def run(engine: CoreEngine, cfg: Config = Config()): Result = {
     val start = System.nanoTime()
     def elapsedMs = (System.nanoTime() - start) / 1000000L
@@ -60,11 +129,9 @@ object DDSExact {
     if (full.isEmpty)
       return Result(Candidate.empty, 0, 0, Vector.empty, elapsedMs, dnf = false, None)
 
-    val n = engine.n
     var probes = 0
     var flows = 0
     val flowNodes = Vector.newBuilder[Int]
-    var dnf = false
 
     // ---- seed ----
     var maxXYInfo: Option[(Int, Int)] = None
@@ -73,11 +140,9 @@ object DDSExact {
       MaxCore.maxXY(engine).foreach { mx =>
         maxXYInfo = Some((mx.x, mx.y))
         val c = mx.candidate()
-        if (c.density > best.density) best = c
+        if (c.denserThan(best)) best = c
       }
     }
-
-    def overBudget: Boolean = elapsedMs > cfg.wallBudgetMs
 
     /** Exact surrogate argmax at ratio a = p/q. Each step moves to a pair of
       * strictly higher level E/(q|S| + p|T|) (``bestAbove`` checks it
@@ -107,31 +172,17 @@ object DDSExact {
           case None => return cand
           case Some(c2) =>
             cand = c2
-            if (c2.density > best.density) best = c2
+            if (c2.denserThan(best)) best = c2
         }
       }
       sys.error("unreachable")
     }
 
-    val stack = scala.collection.mutable.Stack[(Double, Double)]()
-    stack.push((1.0 / (n + 1.0), n + 1.0))
-    while (stack.nonEmpty && !dnf) {
-      if (overBudget) { dnf = true }
-      else {
-        val (lo, hi) = stack.pop()
-        RatioUtils.simplestBetween(lo, hi, n).foreach { case (p, q) =>
-          val a = p.toDouble / q
-          val oA = probeRatio(p, q).surrogate(a)
-          probes += 1
-          // (lo, a/r) and (a·r, hi) are open, so neither holds p/q again
-          val r = if (cfg.mode == Mode.Baseline) 1.0
-                  else RatioUtils.pruneRadius(math.min(1.0, oA / best.density))
-          if (a / r > lo) stack.push((lo, a / r))
-          if (a * r < hi) stack.push((a * r, hi))
-        }
-      }
+    val done = walk(engine.n, best, elapsedMs > cfg.wallBudgetMs) { (p, q) =>
+      val c = probeRatio(p, q)
+      probes += 1
+      if (cfg.mode == Mode.Baseline) None else Some(Probe(p, q, c.m, q * c.sSize + p * c.tSize))
     }
-
-    Result(best, probes, flows, flowNodes.result(), elapsedMs, dnf, maxXYInfo)
+    Result(best, probes, flows, flowNodes.result(), elapsedMs, dnf = !done, maxXYInfo)
   }
 }

@@ -27,13 +27,6 @@ object DigraphOps {
     if (sSize <= 0 || tSize <= 0) 0.0
     else m.toDouble / math.sqrt(sSize.toDouble * tSize.toDouble)
 
-  /** Fixed-ratio surrogate ρ'_a(S,T) = 2m / (|S|/√a + √a·|T|). AM–GM gives
-    * ρ'_a ≤ ρ with equality iff |S|/|T| = a.
-    */
-  def surrogate(m: Long, sSize: Long, tSize: Long, a: Double): Double =
-    if (sSize <= 0 || tSize <= 0) 0.0
-    else 2.0 * m / (sSize / math.sqrt(a) + math.sqrt(a) * tSize)
-
   /** Graph summary statistics from the whole graph's degrees (an
     * [[EdgeScan.allDegrees]] pass, or the one a ``SparkCoreEngine`` keeps).
     */

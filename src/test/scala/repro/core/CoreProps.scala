@@ -2,11 +2,10 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
 import repro.TestGraphs
-import repro.exact.RatioUtils
-import repro.graph.{DigraphOps, LocalDigraph}
+import repro.graph.LocalDigraph
 
-/** ScalaCheck property suite over the density algebra and the reference
-  * core peeler (runs under sbt's scalacheck framework).
+/** ScalaCheck property suite over the reference core peeler (runs under
+  * sbt's scalacheck framework).
   */
 object CoreProps extends Properties("core") {
 
@@ -15,21 +14,6 @@ object CoreProps extends Properties("core") {
     m <- Gen.choose(1, 40)
     seed <- Gen.choose(0L, 100000L)
   } yield repro.TestGraphs.randomLocal(n, m, seed)
-
-  property("surrogate <= density, equality at matching ratio") = Prop.forAll(
-    Gen.choose(1L, 50L), Gen.choose(1L, 50L), Gen.choose(0L, 2500L)) { (s, t, e) =>
-    val m = math.min(e, s * t)
-    val d = DigraphOps.density(m, s, t)
-    val atMatch = DigraphOps.surrogate(m, s, t, s.toDouble / t)
-    val off = DigraphOps.surrogate(m, s, t, s.toDouble / t * 3.0)
-    math.abs(d - atMatch) < 1e-9 && off <= d + 1e-9
-  }
-
-  property("phi in (0,1], symmetric") = Prop.forAll(
-    Gen.choose(0.01, 100.0), Gen.choose(0.01, 100.0)) { (a, b) =>
-    val p = RatioUtils.phi(a, b)
-    p > 0 && p <= 1.0 + 1e-12 && math.abs(p - RatioUtils.phi(b, a)) < 1e-12
-  }
 
   property("[x,y]-core satisfies its degree constraints") = Prop.forAll(
     genGraph, Gen.choose(1, 3), Gen.choose(1, 3)) { (g, x, y) =>

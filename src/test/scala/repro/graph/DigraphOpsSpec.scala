@@ -1,7 +1,6 @@
 package repro.graph
 
 import repro.{Oracle, SparkSpec, TestGraphs}
-import repro.exact.RatioUtils
 
 /** DataFrame digraph primitives, each checked against the DuckDB oracle. */
 class DigraphOpsSpec extends SparkSpec {
@@ -67,28 +66,6 @@ class DigraphOpsSpec extends SparkSpec {
     assert(DigraphOps.density(4, 1, 4) === 2.0)
     assert(DigraphOps.density(0, 5, 5) === 0.0)
     assert(DigraphOps.density(3, 0, 5) === 0.0)
-  }
-
-  test("surrogate equals density at the matching ratio") {
-    // |S|=4, |T|=1, a = 4: surrogate == density
-    val d = DigraphOps.density(3, 4, 1)
-    val s = DigraphOps.surrogate(3, 4, 1, 4.0)
-    assert(math.abs(d - s) < 1e-12)
-  }
-
-  test("surrogate is below density at non-matching ratios (AM-GM)") {
-    for (a <- Seq(0.25, 0.5, 1.0, 2.0, 3.0)) {
-      val s = DigraphOps.surrogate(7, 4, 2, a)
-      val d = DigraphOps.density(7, 4, 2)
-      assert(s <= d + 1e-12, s"a=$a")
-      if (math.abs(a - 2.0) > 1e-9) assert(s < d)
-    }
-  }
-
-  test("phi is 1 iff a=b and symmetric in log scale") {
-    assert(math.abs(RatioUtils.phi(2.0, 2.0) - 1.0) < 1e-12)
-    assert(math.abs(RatioUtils.phi(1.0, 4.0) - RatioUtils.phi(4.0, 1.0)) < 1e-12)
-    assert(RatioUtils.phi(1.0, 4.0) < 1.0)
   }
 
   test("stats computes n, m and max degrees") {

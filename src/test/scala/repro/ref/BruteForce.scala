@@ -1,7 +1,7 @@
 package repro.ref
 
 import repro.core.{Candidate, LocalXYCore}
-import repro.graph.{DigraphOps, LocalDigraph}
+import repro.graph.LocalDigraph
 
 /** Exhaustive ground truth for tiny graphs.
   *
@@ -44,36 +44,6 @@ object BruteForce {
       s += 1
     }
     Candidate(maskIds(g, bestS), maskIds(g, bestT), bestE)
-  }
-
-  /** The exact maximum of the fixed-ratio surrogate ρ'_a over all pairs. */
-  def surrogateMax(g: LocalDigraph, a: Double): Double = {
-    require(g.n <= 14, s"limited to n<=14, got ${g.n}")
-    if (g.m == 0) return 0.0
-    val n = g.n
-    val outMask = new Array[Int](n)
-    var i = 0
-    while (i < g.m) { outMask(g.src(i)) |= 1 << g.dst(i); i += 1 }
-    var best = 0.0
-    var s = 1
-    val lim = 1 << n
-    while (s < lim) {
-      var t = 1
-      while (t < lim) {
-        var e = 0L
-        var u = s
-        while (u != 0) {
-          val v = Integer.numberOfTrailingZeros(u)
-          e += Integer.bitCount(outMask(v) & t)
-          u &= u - 1
-        }
-        val d = DigraphOps.surrogate(e, Integer.bitCount(s).toLong, Integer.bitCount(t).toLong, a)
-        if (d > best) best = d
-        t += 1
-      }
-      s += 1
-    }
-    best
   }
 
   /** The maximum level E(S,T)/(q|S| + p|T|) over all pairs at ratio p/q, as

@@ -2,6 +2,7 @@ package repro.ref
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.core.Candidate
 import repro.graph.LocalDigraph
 
 /** Sanity for the exhaustive ground truth itself, on hand-solvable graphs. */
@@ -48,19 +49,25 @@ class BruteForceSpec extends AnyFunSuite {
     assert(r.density === 0.0)
   }
 
-  test("surrogateMax at the optimal ratio equals ρopt") {
+  // ρ'_{p/q} = 2√(pq)·e/d ≤ ρ = E/√(|S||T|), squared: 4pq·e²·|S||T| ≤ E²·d²
+  private def surrogateSq(p: Long, q: Long, level: (Long, Long), opt: Candidate): (Long, Long) =
+    (4 * p * q * level._1 * level._1 * opt.sSize * opt.tSize, opt.m * opt.m * level._2 * level._2)
+
+  test("surrogateLevel at the optimal ratio gives ρopt") {
     val pairs = for (i <- 0 until 3; j <- 0 until 2) yield (i.toLong, (10 + j).toLong)
     val g = LocalDigraph.fromPairs(pairs)
     val opt = BruteForce.dds(g)
-    val a = opt.sSize.toDouble / opt.tSize
-    assert(math.abs(BruteForce.surrogateMax(g, a) - opt.density) < 1e-12)
+    val (p, q) = (opt.sSize.toLong, opt.tSize.toLong)
+    val (lhs, rhs) = surrogateSq(p, q, BruteForce.surrogateLevel(g, p, q), opt)
+    assert(lhs === rhs)
   }
 
-  test("surrogateMax is below ρopt at other ratios") {
+  test("surrogateLevel is below ρopt at other ratios") {
     val g = TestGraphs.randomLocal(8, 20, seed = 77)
-    val opt = BruteForce.dds(g).density
-    for (a <- Seq(0.25, 0.5, 1.0, 2.0, 4.0)) {
-      assert(BruteForce.surrogateMax(g, a) <= opt + 1e-9)
+    val opt = BruteForce.dds(g)
+    for ((p, q) <- Seq((1L, 4L), (1L, 2L), (1L, 1L), (2L, 1L), (4L, 1L))) {
+      val (lhs, rhs) = surrogateSq(p, q, BruteForce.surrogateLevel(g, p, q), opt)
+      assert(lhs <= rhs, s"a=$p/$q")
     }
   }
 
