@@ -52,10 +52,13 @@ object MaxCore {
     *
     * The x-walk does not advance one step at a time: to beat the current
     * best product B with y_max capped at lastY, only x > B/lastY can help,
-    * so x jumps straight to B/lastY + 1. All visited x then lie on the
-    * corners of the hyperbola x·y = B, giving O(√(x*·y*)) core probes even
-    * on hub-dominated graphs where x_max is huge (the jump is what makes
-    * CoreApprox's complexity match the paper's √m regime).
+    * so x jumps straight to B/lastY + 1. lastY is exact at the last x
+    * probed: where [x, ⌊B/x⌋ + 1] is empty, y_max(x) is found from the
+    * [x,1]-core by the same doubling and bisection, so the next x skips
+    * every x' with y_max(x') = y_max(x), not just this one. All visited x
+    * then lie on the corners of the hyperbola x·y = B, giving O(√(x*·y*))
+    * core probes even on hub-dominated graphs where x_max is huge (the jump
+    * is what makes CoreApprox's complexity match the paper's √m regime).
     */
   def maxXY(engine: CoreEngine): Option[CoreHandle] = {
     val c11 = engine.core(1, 1, None).getOrElse(return None)
@@ -75,8 +78,9 @@ object MaxCore {
           if (yNeed <= lastY) {
             engine.core(x.toInt, yNeed, Some(cx1)) match {
               case None =>
-                lastY = math.min(lastY, yNeed - 1) // y_max(x) < yNeed, holds for x' ≥ x too
-                if (lastY < 1) done = true
+                // y_max(x) < yNeed, found exactly: it bounds y_max(x') for every
+                // x' ≥ x, so x jumps to B/y_max(x) + 1 below
+                lastY = maxFrom(1, cx1, yNeed - 1)((y, w) => engine.core(x.toInt, y, Some(w))).y
               case Some(seed) =>
                 val cyx = maxFrom(yNeed, seed, lastY)((y, w) => engine.core(x.toInt, y, Some(w)))
                 // extend the constant-y plateau to its largest x in O(log)
@@ -85,7 +89,7 @@ object MaxCore {
                 x = best.x.toLong
             }
           }
-          if (!done) x = math.max(x + 1, bestXY / lastY + 1)
+          x = math.max(x + 1, bestXY / lastY + 1)
       }
     }
     Some(best)

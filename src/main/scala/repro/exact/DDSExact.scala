@@ -2,6 +2,7 @@ package repro.exact
 
 import repro.core.{Candidate, CoreEngine, CoreHandle, MaxCore}
 import repro.flow.DensityFlow
+import scala.collection.mutable
 
 /** Exact directed densest subgraph discovery.
   *
@@ -22,12 +23,21 @@ import repro.flow.DensityFlow
   *    argmax above the level e/d lies in the [⌈e·q/d⌉, ⌈e·p/d⌉]-core, so
   *    each flow network is built on that (shrinking) core; the search is
   *    seeded with the max-x·y core (CoreApprox), whose density is ≥ ρopt/2.
+  *    Each core call warm-starts from the smallest of the last 8 cores the
+  *    probes peeled that lies below it, so a probe's first core is peeled
+  *    from an earlier probe's core, not from the whole graph.
   *
   * Per ratio a = p/q, the surrogate maximum is found by Dinkelbach
   * iteration on the level E/(q|S| + p|T|), which the surrogate is 2√(pq)
   * times: repeat min-cut at e/d = the current candidate's level until no
-  * pair has a strictly higher one. Levels, densities and the pruning test
-  * are compared in integers, so no ratio is skipped by rounding.
+  * pair has a strictly higher one. It starts from the known pair of highest
+  * level at a: the best pair or an argmax of an earlier probe (often a
+  * Stern–Brocot neighbour of a). Any start reaches the argmax level, so the
+  * probe's o_a does not depend on the start (only the pairs passed on the
+  * way, which may raise ρ_best, do); a higher start saves steps and, for
+  * CoreExact, gives a smaller first core.
+  * Levels, densities and the pruning test are compared in integers, so no
+  * ratio is skipped by rounding.
   */
 object DDSExact {
 
@@ -96,7 +106,7 @@ object DDSExact {
     // Every fraction inside is the mediant or one of its descendants, whose
     // terms are at least the mediant's, so a mediant past n ends the node.
     final case class Node(lp: Long, lq: Long, lPr: Option[Probe], rp: Long, rq: Long, rPr: Option[Probe])
-    val stack = scala.collection.mutable.Stack(Node(0L, 1L, None, 1L, 0L, None))
+    val stack = mutable.Stack(Node(0L, 1L, None, 1L, 0L, None))
     while (stack.nonEmpty) {
       if (stop) return false
       var nd = stack.pop()
@@ -121,6 +131,9 @@ object DDSExact {
     true
   }
 
+  /** How many of the latest cores a CoreExact probe may warm-start from. */
+  private val KeptCores = 8
+
   def run(engine: CoreEngine, cfg: Config = Config()): Result = {
     val start = System.nanoTime()
     def elapsedMs = (System.nanoTime() - start) / 1000000L
@@ -144,25 +157,38 @@ object DDSExact {
       }
     }
 
-    /** Exact surrogate argmax at ratio a = p/q. Each step moves to a pair of
-      * strictly higher level E/(q|S| + p|T|) (``bestAbove`` checks it
-      * exactly), and the levels are finitely many, so the loop ends.
+    // the argmaxes earlier probes ended at, one per (E, |S|, |T|), and the
+    // latest cores the probes peeled, for later probes to start from
+    val argmaxes = mutable.LinkedHashMap.empty[(Long, Int, Int), Candidate]
+    val cores = mutable.Queue.empty[CoreHandle]
+
+    /** Exact surrogate argmax at ratio a = p/q. It starts from the known pair
+      * of highest level E/(q|S| + p|T|): the best pair or an earlier argmax.
+      * Each step moves to a pair of strictly higher level (``bestAbove``
+      * checks it exactly), and the levels are finitely many, so the loop ends.
       */
     def probeRatio(p: Long, q: Long): Candidate = {
-      var cand = best
-      var warm: Option[CoreHandle] = None
+      def dOf(c: Candidate): Long = q * c.sSize + p * c.tSize
+      var cand = argmaxes.valuesIterator.foldLeft(best) { (a, c) =>
+        if (BigInt(c.m) * dOf(a) > BigInt(a.m) * dOf(c)) c else a
+      }
       while (true) {
         val e = cand.m
-        val d = q * cand.sSize + p * cand.tSize
+        val d = dOf(cand)
         val sub = cfg.mode match {
           case Mode.CoreExact =>
             // the argmax above level e/d lies in the [⌈e·q/d⌉, ⌈e·p/d⌉]-core
             val x = ((e * q + d - 1) / d).toInt
             val y = ((e * p + d - 1) / d).toInt
-            val w = warm.filter(h => h.x <= x && h.y <= y)
+            // warm from the smallest kept core below (x, y): the last step's
+            // core is one, as each step raises the level
+            val w = cores.filter(h => h.x <= x && h.y <= y).minByOption(_.m)
             engine.core(x, y, w) match {
-              case None    => return cand
-              case Some(h) => warm = Some(h); h.sub()
+              case None => return cand
+              case Some(h) =>
+                cores.enqueue(h)
+                if (cores.size > KeptCores) cores.dequeue()
+                h.sub()
             }
           case _ => full
         }
@@ -181,6 +207,7 @@ object DDSExact {
     val done = walk(engine.n, best, elapsedMs > cfg.wallBudgetMs) { (p, q) =>
       val c = probeRatio(p, q)
       probes += 1
+      argmaxes.getOrElseUpdate((c.m, c.sSize, c.tSize), c)
       if (cfg.mode == Mode.Baseline) None else Some(Probe(p, q, c.m, q * c.sSize + p * c.tSize))
     }
     Result(best, probes, flows, flowNodes.result(), elapsedMs, dnf = !done, maxXYInfo)

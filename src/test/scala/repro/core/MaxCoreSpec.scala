@@ -4,6 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.graph.LocalDigraph
 import repro.ref.BruteForce
+import scala.collection.mutable.ArrayBuffer
+import scala.util.Random
 
 /** Staircase max-x·y search and skyline vs grid-scan ground truth. */
 class MaxCoreSpec extends AnyFunSuite {
@@ -127,6 +129,61 @@ class MaxCoreSpec extends AnyFunSuite {
     val pairs = TestGraphs.skewedPairs(50, 250, seed = 18)
     // default cutoff: the whole graph is served on the driver
     for (cutoff <- Seq(None, Some(thirdOfM(pairs)))) assertSparkMatchesLocal(pairs, cutoff)
+  }
+
+  /** Forwards to ``inner`` and logs every core call as (x, y, non-empty). */
+  private final class LoggingEngine(inner: CoreEngine) extends CoreEngine {
+    val calls = ArrayBuffer.empty[(Int, Int, Boolean)]
+    def n: Long = inner.n
+    def m: Long = inner.m
+    def fullSub(): LocalDigraph = inner.fullSub()
+    def core(x: Int, y: Int, warm: Option[CoreHandle]): Option[CoreHandle] = {
+      val h = inner.core(x, y, warm)
+      calls += ((x, y, h.nonEmpty))
+      h
+    }
+  }
+
+  /** Out-stars of the given sizes from hubs 1, 2, … onto random vertices
+    * of 1..n, a bidirected clique on the last ``clique`` vertices, and
+    * ``noise`` random edges.
+    */
+  private def hubPairs(n: Int, stars: Seq[Int], clique: Int, noise: Int, seed: Long): Seq[(Long, Long)] = {
+    val rnd = new Random(seed)
+    val out = for ((k, h) <- stars.zipWithIndex; v <- rnd.shuffle((1 to n).filter(_ != h + 1)).take(k))
+      yield ((h + 1).toLong, v.toLong)
+    val block = for (u <- n - clique + 1 to n; v <- n - clique + 1 to n if u != v) yield (u.toLong, v.toLong)
+    (out ++ block ++ TestGraphs.randomPairs(n, noise, seed)).distinct
+  }
+
+  for (seed <- 1 to 8) {
+    test(s"hub-dominated graph: maxXY is a grid maximum and a skyline corner, and jumps by the exact y_max(x) where [x, yNeed] is empty (seed=$seed)") {
+      val n = 30 + 20 * seed
+      val stars = Seq(n - 5, n / 2, n / 3, n / 4, n / 6, 6, 3)
+      val g = LocalDigraph.fromPairs(hubPairs(n, stars, 6 + seed % 3, 2 * n, 600 + seed))
+      val engine = new LoggingEngine(new LocalCoreEngine(g))
+      val mx = MaxCore.maxXY(engine).get
+      val grid = BruteForce.maxXYGrid(g).get
+      assert(mx.x.toLong * mx.y === grid._1.toLong * grid._2, s"staircase [${mx.x},${mx.y}] vs grid $grid")
+      assert(BruteForce.skyline(g).contains((mx.x, mx.y)), s"[${mx.x},${mx.y}] is no skyline corner")
+      // The [x, yNeed] probe is the call right after a non-empty [x,1] with
+      // x ≥ 2. Where it is empty, the next [x',1] call must be at
+      // x' = max(x + 1, B/y_max(x) + 1), B the best x·y so far.
+      val calls = engine.calls.toIndexedSeq
+      def yMax(x: Int): Int = Iterator.from(1).takeWhile(y => LocalXYCore.peel(g, x, y).nonEmpty).size
+      val stalls = calls.indices.dropRight(1).collect {
+        case i if calls(i)._1 >= 2 && calls(i)._2 == 1 && calls(i)._3 &&
+                  calls(i + 1)._1 == calls(i)._1 && calls(i + 1)._2 > 1 && !calls(i + 1)._3 =>
+          val (x, yNeed) = (calls(i)._1, calls(i + 1)._2)
+          val b = calls.take(i).collect { case (cx, cy, true) => cx.toLong * cy }.max
+          val next = calls.drop(i + 2).collectFirst { case (x2, 1, _) => x2.toLong }
+          (x, yNeed, yMax(x), next, math.max(x + 1L, b / yMax(x) + 1))
+      }
+      assert(stalls.nonEmpty, s"no empty [x, yNeed] probe in $calls")
+      for ((x, _, _, next, jump) <- stalls) assert(next.forall(_ == jump), s"after x=$x: $stalls")
+      // somewhere y_max(x) < yNeed − 1, where the bound yNeed − 1 would jump less
+      assert(stalls.exists { case (_, yNeed, ym, _, _) => ym < yNeed - 1 }, s"$stalls")
+    }
   }
 
   test("jumping staircase handles a huge-hub graph quickly and exactly") {

@@ -32,9 +32,16 @@ class XYCoreSparkSpec extends SparkSpec {
   private def collectSub(base: DataFrame, core: Candidate): LocalDigraph =
     if (core.isEmpty) LocalDigraph.fromPairs(Nil) else LocalDigraph.fromEdges(base, core.s, core.t)
 
+  /** Runs ``f`` on ``e``, then releases ``e`` if it is a Spark engine. Each
+    * engine is built when it runs: two engines of one frame share its cache,
+    * so a release by one would uncache the frame the other still reads.
+    */
+  private def using[A](e: CoreEngine)(f: CoreEngine => A): A =
+    try f(e) finally e match { case s: SparkCoreEngine => s.release(); case _ => }
+
   private def peelBoth(pairs: Seq[(Long, Long)], x: Int, y: Int): (Candidate, Candidate) = {
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
-    val sparkCore = peel(base, x, y)
+    val sparkCore = try peel(base, x, y) finally base.unpersist()
     val localCore = Candidate.of(LocalXYCore.peel(LocalDigraph.fromPairs(pairs), x, y))
     (sparkCore, localCore)
   }
@@ -146,19 +153,17 @@ class XYCoreSparkSpec extends SparkSpec {
   test("invalid warm start is rejected") {
     // a bidirected triangle plus 3→4: the [1,1]-core has 7 edges, the [2,2]-core 6
     val pairs = Seq((1L, 2L), (2L, 1L), (2L, 3L), (3L, 2L), (1L, 3L), (3L, 1L), (3L, 4L))
-    val df = TestGraphs.df(spark, pairs)
-    val engines = Seq(
-      "local" -> new LocalCoreEngine(LocalDigraph.fromPairs(pairs)),
-      "spark, whole graph on the driver" -> new SparkCoreEngine(df),
-      "spark rounds" -> new SparkCoreEngine(df, localCutoff = 0L))
-    for ((name, e) <- engines) {
+    val engines: Seq[(String, () => CoreEngine)] = Seq(
+      "local" -> (() => new LocalCoreEngine(LocalDigraph.fromPairs(pairs))),
+      "spark, whole graph on the driver" -> (() => new SparkCoreEngine(TestGraphs.df(spark, pairs))),
+      "spark rounds" -> (() => new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = 0L)))
+    for ((name, mk) <- engines) using(mk()) { e =>
       assert(e.core(1, 1).map(_.m) === Some(7L), name)
       val c22 = e.core(2, 2).get
       assert(c22.m === 6L, name)
       intercept[IllegalArgumentException](e.core(1, 1, Some(c22)))
       intercept[IllegalArgumentException](e.core(2, 1, Some(c22)))
     }
-    engines.collect { case (_, e: SparkCoreEngine) => e.release() }
   }
 
   test("a warm handle from another engine is ignored") {
@@ -169,21 +174,23 @@ class XYCoreSparkSpec extends SparkSpec {
       "local" -> (p => new LocalCoreEngine(LocalDigraph.fromPairs(p))),
       "spark rounds" -> (p => new SparkCoreEngine(TestGraphs.df(spark, p), localCutoff = 0L)),
       "spark, whole graph on the driver" -> (p => new SparkCoreEngine(TestGraphs.df(spark, p))))
-    val engines = kinds.map { case (name, mk) => (name, mk(pairsA), mk(pairsB)) }
+    val at = Seq((2, 2), (3, 1))
     def shape(h: Option[CoreHandle]) =
       h.map(c => (c.sSize, c.tSize, c.m, c.candidate().s.toSeq, c.candidate().t.toSeq))
-    try {
-      for ((nameA, a, _) <- engines; (nameB, _, b) <- engines) {
+    // per kind: A's [1,1] handle and A's cores at ``at``
+    val fromA = kinds.map { case (nameA, mk) =>
+      using(mk(pairsA)) { a => // a handle outlives its engine's release
         val hA = a.core(1, 1)
         if (nameA == "spark rounds") assert(hA.collect { case p: PairCore => p.pair.isLeft } === Some(true))
-        for ((x, y) <- Seq((2, 2), (3, 1))) {
-          val cold = b.core(x, y)
-          assert(cold.nonEmpty && (shape(cold) !== shape(a.core(x, y))), s"$nameB [$x,$y]")
-          assert(shape(b.core(x, y, hA)) === shape(cold), s"$nameA handle into $nameB [$x,$y]")
-        }
+        (nameA, hA, at.map { case (x, y) => shape(a.core(x, y)) })
       }
-    } finally engines.foreach { case (_, a, b) =>
-      Seq(a, b).collect { case e: SparkCoreEngine => e.release() }
+    }
+    for ((nameB, mk) <- kinds) using(mk(pairsB)) { b =>
+      for ((nameA, hA, shapesA) <- fromA; ((x, y), shapeA) <- at.zip(shapesA)) {
+        val cold = b.core(x, y)
+        assert(cold.nonEmpty && (shape(cold) !== shapeA), s"$nameB [$x,$y]")
+        assert(shape(b.core(x, y, hA)) === shape(cold), s"$nameA handle into $nameB [$x,$y]")
+      }
     }
   }
 

@@ -96,6 +96,22 @@ class DDSExactSpec extends AnyFunSuite {
     }
   }
 
+  for (seed <- 1 to 24) {
+    test(s"every mode hits the brute-force optimum exactly, each probe ending in a flow (seed=$seed)") {
+      // random and skewed (hub) graphs on at most 12 vertices
+      val pairs =
+        if (seed % 2 == 0) TestGraphs.randomPairs(8 + seed % 5, 12 + seed, 5000 + seed)
+        else TestGraphs.skewedPairs(12, 14 + seed, 5000 + seed)
+      val opt = BruteForce.dds(LocalDigraph.fromPairs(pairs))
+      for (mode <- Seq(DDSExact.Mode.Baseline, DDSExact.Mode.DC, DDSExact.Mode.CoreExact)) {
+        val r = runMode(pairs, mode)
+        assert(!r.best.denserThan(opt) && !opt.denserThan(r.best), s"$mode: ${r.best.m} edges vs ${opt.m}")
+        // every probe ends with a flow that finds no higher level
+        assert(r.flows >= r.probes, s"$mode")
+      }
+    }
+  }
+
   for (seed <- 1 to 4) {
     test(s"Baseline probes every reduced ratio p/q with p, q <= n exactly once (seed=$seed)") {
       @annotation.tailrec
@@ -158,10 +174,11 @@ class DDSExactSpec extends AnyFunSuite {
   test("CoreExact's work on a fixed skewed graph is pinned") {
     // The answer was read from the Dinic that started every network from
     // zero flow on its textbook arcs (no folded path, no preloaded flow), the
-    // work from the integer Stern–Brocot walk. A cheaper min-cut must not
+    // work from the integer Stern–Brocot walk with each probe's Dinkelbach
+    // started from the highest-level known pair. A cheaper min-cut must not
     // change how many ratios and networks the search visits, nor its answer.
     val r = runMode(TestGraphs.skewedPairs(2000, 12000, seed = 4040), DDSExact.Mode.CoreExact)
-    assert((r.probes, r.flows, r.flowNodes.map(_.toLong).sum) === ((37, 94, 14143L)))
+    assert((r.probes, r.flows, r.flowNodes.map(_.toLong).sum) === ((37, 75, 9766L)))
     assert(r.best.s.toSeq === (1L to 12L))
     assert((r.best.tSize, r.best.t.sum, r.best.m) === ((90, 92898L, 645L)))
     assert(r.maxXY === Some((60, 4)))
