@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import scala.collection.mutable.ArrayBuffer
+import scala.collection.mutable
 import repro.graph.{DigraphOps, EdgeScan, LocalDigraph, PairDegrees}
 
 /** A computed [x,y]-core: side sizes and edge count up front, edges
@@ -40,24 +40,39 @@ trait CoreEngine {
   /** The whole graph on the driver (all sources, all destinations). */
   def fullSub(): LocalDigraph
 
-  /** The [x,y]-core, warm-started from a superset core when available
-    * (caller guarantees warm.x ≤ x and warm.y ≤ y). None if empty. An
-    * engine warm-starts only from a core it returned itself, and ignores
-    * any other handle.
+  /** The [x,y]-core, None if empty. The engine picks the known core the
+    * call starts from; ``warm`` (warm.x ≤ x and warm.y ≤ y, checked) is for
+    * a core the engine may have forgotten, and counts only if this engine
+    * returned it: any other handle is ignored.
     */
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle]
 }
 
-object CoreEngine {
+/** The cores an engine knows, and the one rule for where its core calls
+  * start: a call at (x,y) peels the smallest, by m, of the caller's warm
+  * handle (if this engine returned it) and the known cores below (x,y),
+  * each of which contains the [x,y]-core (nestedness); failing those, the
+  * whole graph. The known cores are two short lists: ``kept``, the first
+  * 8 cores that reached the driver from a ``Left`` start, for the engine's
+  * life, and ``recent``, the latest 8 cores the engine returned.
+  */
+private[core] final class KnownCores(engine: CoreEngine) {
+  private val kept   = mutable.ArrayBuffer.empty[PairCore]
+  private val recent = mutable.Queue.empty[PairCore]
 
-  /** The pair of ``warm`` if ``engine`` returned it, after checking the
-    * warm-start contract of [[CoreEngine.core]] (which holds for any handle).
-    */
-  private[core] def ownWarm(engine: CoreEngine, x: Int, y: Int, warm: Option[CoreHandle]): Option[PairState] = {
-    warm.foreach { w =>
-      require(w.x <= x && w.y <= y, s"invalid warm start [${w.x},${w.y}] for [$x,$y]")
-    }
-    warm.collect { case h: PairCore if h.owner eq engine => h.pair }
+  /** The known core a call at (x,y) starts from; None = the whole graph. */
+  def start(x: Int, y: Int, warm: Option[CoreHandle]): Option[PairCore] = {
+    warm.foreach(w => require(w.x <= x && w.y <= y, s"invalid warm start [${w.x},${w.y}] for [$x,$y]"))
+    val own = warm.collect { case h: PairCore if h.owner eq engine => h }
+    (own ++ kept ++ recent).filter(h => h.x <= x && h.y <= y).minByOption(_.m)
+  }
+
+  /** Records ``h``, a core the engine returns, peeled from ``from``. */
+  def add(h: PairCore, from: PairState): Some[PairCore] = {
+    if (from.isLeft && h.pair.isRight && kept.size < 8) kept += h
+    recent.enqueue(h)
+    if (recent.size > 8) recent.dequeue()
+    Some(h)
   }
 }
 
@@ -85,30 +100,29 @@ final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
   private lazy val full: LocalDigraph = LocalXYCore.peel(g, 1, 1)
   def fullSub(): LocalDigraph = full
 
+  private val known = new KnownCores(this)
+
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
     // this engine's cores are all on the driver
-    val from = CoreEngine.ownWarm(this, x, y, warm).flatMap(_.toOption).getOrElse(g)
+    val from = known.start(x, y, warm).flatMap(_.pair.toOption).getOrElse(g)
     val core = LocalXYCore.peel(from, x, y)
-    if (core.isEmpty) None else Some(new PairCore(x, y, Right(core), this, core))
+    if (core.isEmpty) None else known.add(new PairCore(x, y, Right(core), this, core), Right(from))
   }
 }
 
 /** Production engine: Spark iterative peeling over cached edges.
   *
   * ``localCutoff`` — see [[XYCore.peel]]. A core with at most this many
-  * edges reaches the driver once and is kept there as a ``LocalDigraph``,
-  * up to 8 of them: a query at (x,y) dominating that core's (cx,cy) has
-  * its answer inside it (nestedness), so it is peeled there without a
-  * Spark job. A graph within the cutoff is its own [1,1]-core, collected
-  * once at the first use of ``n``, ``fullSub`` or ``core``, and kept the
-  * same way. Above the cutoff, the whole graph's degrees that ``n`` reads
-  * are kept.
+  * edges reaches the driver once, as a ``LocalDigraph``: a later call at
+  * an (x,y) dominating its own has its answer inside it (nestedness), and
+  * is peeled there without a Spark job. A graph within the cutoff is its
+  * own [1,1]-core, collected once at the first use of ``n``, ``fullSub`` or
+  * ``core``, and kept. Above the cutoff, the degrees ``n`` reads are kept.
   *
-  * A call peels, with [[XYCore.peel]], the tightest pair known to contain
-  * its core: the smallest driver core among its warm handle and the kept
-  * cores below (x,y); failing that, its warm handle's degrees; failing
-  * that, the whole graph's degrees (the graph is its own [1,1]-core). Only
-  * handles this engine returned count as warm starts. No call scans the
+  * A call peels, with [[XYCore.peel]], the core [[KnownCores]] picks, else
+  * the whole graph (its digraph within the cutoff, its degrees above). A
+  * core that reached its fixpoint in Spark has more edges than the cutoff,
+  * so any driver core is smaller and is picked first. No call scans the
   * edges for degrees the driver already holds.
   */
 final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) extends CoreEngine {
@@ -133,21 +147,14 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
   // canonical edges have no isolated vertex: the graph is its own [1,1]-core
   def fullSub(): LocalDigraph = whole.getOrElse(LocalDigraph.fromEdges(base))
 
-  /** The driver cores kept for later calls, with their (x,y). */
-  private lazy val kept: ArrayBuffer[(Int, Int, LocalDigraph)] = ArrayBuffer.from(whole.map((1, 1, _)))
+  private val known = new KnownCores(this)
 
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
-    val own = CoreEngine.ownWarm(this, x, y, warm)
-    val onDriver = (own.flatMap(_.toOption) ++ kept.collect { case (cx, cy, g) if cx <= x && cy <= y => g })
-      .minByOption(_.m)
-    val from = onDriver.map(Right(_)).orElse(own).getOrElse(Left(allDegrees))
+    val from = known.start(x, y, warm).fold(whole.toRight(allDegrees))(_.pair)
     val peeled = XYCore.peel(base, x, y, from, localCutoff)
     if (peeled.fold(_.m == 0, _.isEmpty)) None
-    else {
-      // a core that reached the driver from Spark is kept; one peeled from a driver core is inside it
-      if (onDriver.isEmpty) peeled.foreach(g => if (kept.size < 8) kept += ((x, y, g)))
-      Some(new PairCore(x, y, peeled, this, peeled.fold(d => LocalDigraph.fromEdges(base, d.s, d.t), identity)))
-    }
+    else known.add(new PairCore(x, y, peeled, this,
+                                peeled.fold(d => LocalDigraph.fromEdges(base, d.s, d.t), identity)), from)
   }
 
   def release(): Unit = { base.unpersist(); () }

@@ -69,13 +69,14 @@ final class PeelState(val g: LocalDigraph) {
   * It is the driver side of [[XYCore.peel]]: every pair on the driver (a
   * ``Right`` [[PairState]]) is peeled here, whether a ``LocalCoreEngine``
   * holds it, a ``SparkCoreEngine`` collected it (the whole graph within
-  * its cutoff, a kept core, or a Spark peel finished locally), or it is a
+  * its cutoff, a known core, or a Spark peel finished locally), or it is a
   * round of ``BSApprox.runLocal``. The Spark rounds are tested against it.
   */
 object LocalXYCore {
 
   /** Peel g down to its [x,y]-core: ``g`` restricted to the core's edges
-    * (see [[LocalDigraph.restrict]]). Requires x ≥ 1 and y ≥ 1.
+    * (see [[LocalDigraph.restrict]]), ``g`` itself when every edge and
+    * vertex stays. Requires x ≥ 1 and y ≥ 1.
     */
   def peel(g: LocalDigraph, x: Int, y: Int): LocalDigraph = {
     require(x >= 1 && y >= 1, s"need x,y >= 1, got [$x,$y]")

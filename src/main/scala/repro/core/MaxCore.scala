@@ -4,7 +4,7 @@ package repro.core
   *
   * Feasibility (non-emptiness) is downward-closed in (x,y), and cores are
   * nested, so y_max(x) is non-increasing in x. ``maxXY`` walks x upward,
-  * warm-starting each [x,1]-core from the [x−1,1]-core, and only searches
+  * peeling each [x,1]-core from an earlier [x',1]-core, and only searches
   * a y-range when it could improve the best x·y found so far — this is the
   * paper's "find the core maximizing x·y without full decomposition" idea,
   * and powers both CoreApprox (2-approximation) and the exact algorithm's
@@ -12,15 +12,15 @@ package repro.core
   */
 object MaxCore {
 
-  /** The core at the largest k ≤ cap whose ``probe(k, warm)`` is
-    * non-empty, given a known non-empty core ``from`` at k = lo. Doubles,
-    * then bisects; every probe is warm-started from the tightest known
-    * non-empty core. With x fixed and k = y this is y_max(x); with y fixed
-    * and k = x it is x_max(y), which collapses the long constant-y plateaus
-    * of hub-dominated skylines to O(log) probes.
+  /** The core at the largest k ≤ cap whose ``probe(k)`` is non-empty, given
+    * a known non-empty core ``from`` at k = lo. Doubles, then bisects; at
+    * every probe, ``loCore`` is the engine's latest non-empty return (at
+    * every call site ``from`` is), which the engine can start from. With x
+    * fixed and k = y this is y_max(x); with y fixed and k = x it is x_max(y),
+    * which collapses the long constant-y plateaus of hub-dominated skylines
+    * to O(log) probes.
     */
-  private def maxFrom(lo: Int, from: CoreHandle, cap: Int)
-                     (probe: (Int, CoreHandle) => Option[CoreHandle]): CoreHandle = {
+  private def maxFrom(lo: Int, from: CoreHandle, cap: Int)(probe: Int => Option[CoreHandle]): CoreHandle = {
     var loK    = lo
     var loCore = from
     var hiK    = -1 // smallest known-empty k, -1 = unknown
@@ -28,7 +28,7 @@ object MaxCore {
     var step = 1L
     while (hiK == -1 && loK < cap) {
       val k = math.min(cap.toLong, loK + step).toInt
-      probe(k, loCore) match {
+      probe(k) match {
         case Some(h) => loK = k; loCore = h; step *= 2
         case None    => hiK = k
       }
@@ -36,7 +36,7 @@ object MaxCore {
     // bisection phase on (loK, hiK)
     while (hiK != -1 && hiK - loK > 1) {
       val mid = loK + (hiK - loK) / 2
-      probe(mid, loCore) match {
+      probe(mid) match {
         case Some(h) => loK = mid; loCore = h
         case None    => hiK = mid
       }
@@ -61,12 +61,13 @@ object MaxCore {
     * is what makes CoreApprox's complexity match the paper's √m regime).
     */
   def maxXY(engine: CoreEngine): Option[CoreHandle] = {
-    val c11 = engine.core(1, 1, None).getOrElse(return None)
+    val c11 = engine.core(1, 1).getOrElse(return None)
     val yCap = math.min(engine.m, Int.MaxValue.toLong).toInt max 1
-    var best = maxFrom(1, c11, yCap)((y, w) => engine.core(1, y, Some(w)))
+    var best = maxFrom(1, c11, yCap)(engine.core(1, _))
     def bestXY: Long = best.x.toLong * best.y
     var lastY = best.y     // upper bound on y_max(x) for all later x
-    var curX1 = c11        // an [x',1]-core with x' ≤ x (valid warm start under jumps)
+    // an [x',1]-core with x' ≤ x, passed as a warm start: it can be dozens of returns old
+    var curX1 = c11
     var x = 2L
     var done = false
     while (!done && x <= Int.MaxValue) {
@@ -76,15 +77,15 @@ object MaxCore {
           curX1 = cx1
           val yNeed = (bestXY / x).toInt + 1 // smallest y that beats best
           if (yNeed <= lastY) {
-            engine.core(x.toInt, yNeed, Some(cx1)) match {
+            engine.core(x.toInt, yNeed) match {
               case None =>
                 // y_max(x) < yNeed, found exactly: it bounds y_max(x') for every
                 // x' ≥ x, so x jumps to B/y_max(x) + 1 below
-                lastY = maxFrom(1, cx1, yNeed - 1)((y, w) => engine.core(x.toInt, y, Some(w))).y
+                lastY = maxFrom(1, cx1, yNeed - 1)(engine.core(x.toInt, _)).y
               case Some(seed) =>
-                val cyx = maxFrom(yNeed, seed, lastY)((y, w) => engine.core(x.toInt, y, Some(w)))
+                val cyx = maxFrom(yNeed, seed, lastY)(engine.core(x.toInt, _))
                 // extend the constant-y plateau to its largest x in O(log)
-                best = maxFrom(x.toInt, cyx, XCap)((k, w) => engine.core(k, cyx.y, Some(w)))
+                best = maxFrom(x.toInt, cyx, XCap)(engine.core(_, cyx.y))
                 lastY = best.y
                 x = best.x.toLong
             }

@@ -1,6 +1,6 @@
 package repro.exact
 
-import repro.core.{Candidate, CoreEngine, CoreHandle, MaxCore}
+import repro.core.{Candidate, CoreEngine, MaxCore}
 import repro.flow.DensityFlow
 import scala.collection.mutable
 
@@ -23,9 +23,9 @@ import scala.collection.mutable
   *    argmax above the level e/d lies in the [⌈e·q/d⌉, ⌈e·p/d⌉]-core, so
   *    each flow network is built on that (shrinking) core; the search is
   *    seeded with the max-x·y core (CoreApprox), whose density is ≥ ρopt/2.
-  *    Each core call warm-starts from the smallest of the last 8 cores the
-  *    probes peeled that lies below it, so a probe's first core is peeled
-  *    from an earlier probe's core, not from the whole graph.
+  *    The engine picks where each core call starts from the cores it knows
+  *    (see [[repro.core.CoreEngine.core]]), so a probe's first core is
+  *    peeled from an earlier probe's core, not from the whole graph.
   *
   * Per ratio a = p/q, the surrogate maximum is found by Dinkelbach
   * iteration on the level E/(q|S| + p|T|), which the surrogate is 2√(pq)
@@ -131,9 +131,6 @@ object DDSExact {
     true
   }
 
-  /** How many of the latest cores a CoreExact probe may warm-start from. */
-  private val KeptCores = 8
-
   def run(engine: CoreEngine, cfg: Config = Config()): Result = {
     val start = System.nanoTime()
     def elapsedMs = (System.nanoTime() - start) / 1000000L
@@ -157,10 +154,9 @@ object DDSExact {
       }
     }
 
-    // the argmaxes earlier probes ended at, one per (E, |S|, |T|), and the
-    // latest cores the probes peeled, for later probes to start from
+    // the argmaxes earlier probes ended at, one per (E, |S|, |T|), for
+    // later probes to start from
     val argmaxes = mutable.LinkedHashMap.empty[(Long, Int, Int), Candidate]
-    val cores = mutable.Queue.empty[CoreHandle]
 
     /** Exact surrogate argmax at ratio a = p/q. It starts from the known pair
       * of highest level E/(q|S| + p|T|): the best pair or an earlier argmax.
@@ -180,15 +176,10 @@ object DDSExact {
             // the argmax above level e/d lies in the [⌈e·q/d⌉, ⌈e·p/d⌉]-core
             val x = ((e * q + d - 1) / d).toInt
             val y = ((e * p + d - 1) / d).toInt
-            // warm from the smallest kept core below (x, y): the last step's
-            // core is one, as each step raises the level
-            val w = cores.filter(h => h.x <= x && h.y <= y).minByOption(_.m)
-            engine.core(x, y, w) match {
-              case None => return cand
-              case Some(h) =>
-                cores.enqueue(h)
-                if (cores.size > KeptCores) cores.dequeue()
-                h.sub()
+            // each step raises the level: the engine can start from the last step's core
+            engine.core(x, y) match {
+              case None    => return cand
+              case Some(h) => h.sub()
             }
           case _ => full
         }

@@ -6,18 +6,30 @@ import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for every test that uses Spark: one local-mode SparkSession for
+  * the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt: from
   * SPARK_DRIVER_MEM when set, else half the physical memory clamped to
   * 2–8 GB. Broadcast joins are disabled so shuffle/join papers actually
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
   * paper's contribution is the broadcast side.
+  *
+  * A suite fails if it leaves data cached in the shared session (an
+  * engine it did not release, a frame it did not unpersist): a later
+  * ``cache()`` of the same plan would be a no-op, and the first release
+  * would uncache a frame another reader still uses. The cache is cleared
+  * after the check, so a leak fails only the suite that made it.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
-  override def afterAll(): Unit = { super.afterAll() }
+  override def afterAll(): Unit =
+    try {
+      val clean = spark.sharedState.cacheManager.isEmpty
+      spark.catalog.clearCache()
+      assert(clean, s"${getClass.getSimpleName} left data cached in the shared session")
+    } finally super.afterAll()
 }
 
 object SparkSpec {

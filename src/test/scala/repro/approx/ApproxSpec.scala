@@ -1,14 +1,13 @@
 package repro.approx
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGraphs
+import repro.{SparkSpec, TestGraphs}
 import repro.SparkSpec.jobShapes
 import repro.core.{Candidate, LocalCoreEngine, LocalXYCore, SparkCoreEngine}
 import repro.graph.{DigraphOps, LocalDigraph}
 import repro.ref.BruteForce
 
 /** Approximation algorithms: guarantees vs brute force, Spark/local parity. */
-class ApproxSpec extends AnyFunSuite {
+class ApproxSpec extends SparkSpec {
 
   private def local(pairs: Seq[(Long, Long)]) = LocalDigraph.fromPairs(pairs)
 
@@ -134,7 +133,6 @@ class ApproxSpec extends AnyFunSuite {
 
   for (seed <- 1 to 3) {
     test(s"BSApprox Spark equals BSApprox local (seed=$seed)") {
-      val spark = repro.SparkSpec.shared
       val pairs = TestGraphs.skewedPairs(40, 180, 400 + seed)
       val df = TestGraphs.df(spark, pairs)
       for ((eps, gridFactor) <- Seq((1.0, 2.0), (0.5, 3.0))) {
@@ -178,7 +176,7 @@ class ApproxSpec extends AnyFunSuite {
   /** ``BSApprox.run`` on a fresh engine over ``pairs``, released after. */
   private def runSpark(pairs: Seq[(Long, Long)], eps: Double = 1.0, gridFactor: Double = 2.0,
                        wallBudgetMs: Long = Long.MaxValue): ApproxResult = {
-    val engine = new SparkCoreEngine(TestGraphs.df(repro.SparkSpec.shared, pairs))
+    val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs))
     try BSApprox.run(engine, eps, gridFactor, wallBudgetMs) finally engine.release()
   }
 
@@ -214,7 +212,6 @@ class ApproxSpec extends AnyFunSuite {
   // ---- adversarial inputs through every peeler ----
   for ((name, pairs, rho) <- TestGraphs.adversarial) {
     test(s"adversarial input through every peeler: $name") {
-      val spark = repro.SparkSpec.shared
       val g = local(pairs)
       val df = TestGraphs.df(spark, pairs)
       val core11 = Candidate.of(LocalXYCore.peel(g, 1, 1))

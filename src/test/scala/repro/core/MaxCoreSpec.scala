@@ -1,14 +1,13 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGraphs
+import repro.{SparkSpec, TestGraphs}
 import repro.graph.LocalDigraph
 import repro.ref.BruteForce
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 /** Staircase max-x·y search and skyline vs grid-scan ground truth. */
-class MaxCoreSpec extends AnyFunSuite {
+class MaxCoreSpec extends SparkSpec {
 
   private def engineOf(pairs: Seq[(Long, Long)]): LocalCoreEngine =
     new LocalCoreEngine(LocalDigraph.fromPairs(pairs))
@@ -107,7 +106,7 @@ class MaxCoreSpec extends AnyFunSuite {
 
   /** maxXY on a Spark engine (None = default cutoff) equals the local engine's. */
   private def assertSparkMatchesLocal(pairs: Seq[(Long, Long)], cutoff: Option[Long]): Unit = {
-    val df = TestGraphs.df(repro.SparkSpec.shared, pairs)
+    val df = TestGraphs.df(spark, pairs)
     val engine = cutoff.fold(new SparkCoreEngine(df))(new SparkCoreEngine(df, _))
     try {
       val sparkMx = MaxCore.maxXY(engine).get
@@ -131,16 +130,31 @@ class MaxCoreSpec extends AnyFunSuite {
     for (cutoff <- Seq(None, Some(thirdOfM(pairs)))) assertSparkMatchesLocal(pairs, cutoff)
   }
 
-  /** Forwards to ``inner`` and logs every core call as (x, y, non-empty). */
+  /** Forwards to ``inner`` and logs every core call as (x, y, non-empty),
+    * and the (x, y) of every call given a warm handle.
+    */
   private final class LoggingEngine(inner: CoreEngine) extends CoreEngine {
     val calls = ArrayBuffer.empty[(Int, Int, Boolean)]
+    val warmAt = ArrayBuffer.empty[(Int, Int)]
     def n: Long = inner.n
     def m: Long = inner.m
     def fullSub(): LocalDigraph = inner.fullSub()
     def core(x: Int, y: Int, warm: Option[CoreHandle]): Option[CoreHandle] = {
       val h = inner.core(x, y, warm)
       calls += ((x, y, h.nonEmpty))
+      if (warm.nonEmpty) warmAt += ((x, y))
       h
+    }
+  }
+
+  test("maxXY passes a warm handle only to its [x,1] calls, and the engine starts the rest") {
+    for (seed <- 1 to 3) {
+      val g = LocalDigraph.fromPairs(TestGraphs.skewedPairs(50, 250, seed))
+      val engine = new LoggingEngine(new LocalCoreEngine(g))
+      val mx = MaxCore.maxXY(engine).get
+      assert(mx.x.toLong * mx.y === BruteForce.maxXYGrid(g).map(p => p._1.toLong * p._2).get, s"seed $seed")
+      assert(engine.warmAt.nonEmpty && engine.warmAt.forall { case (x, y) => x >= 2 && y == 1 },
+        s"seed $seed: ${engine.warmAt}")
     }
   }
 

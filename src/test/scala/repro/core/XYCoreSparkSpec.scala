@@ -415,15 +415,46 @@ class XYCoreSparkSpec extends SparkSpec {
     val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = g.m - 1L)
     try {
       val c11 = engine.core(1, 1)
-      // nine cores none of which lies below another: the first eight fill the cache
+      // nine cores none of which lies below another: the first eight fill the kept list
       val last = (9 to 1 by -1).map(x => engine.core(x, 10 - x, c11)).last
       assert(last.nonEmpty && last.map(_.m) === local.core(1, 9).map(_.m))
-      // no cached core lies below [1,10]: the handle's own edges serve it
+      // eight more non-empty calls, none below [1,10], push the ninth out of
+      // the engine's latest returns too
+      for (_ <- 1 to 8) assert(engine.core(9, 1).nonEmpty)
+      // no core the engine knows lies below [1,10]: the handle's own edges serve it
       var h: Option[CoreHandle] = None
       assert(jobShapes { h = engine.core(1, 10, last) } === Seq())
       assert(h.nonEmpty)
       assert(h.map(c => (c.sSize, c.tSize, c.m)) === local.core(1, 10).map(c => (c.sSize, c.tSize, c.m)))
     } finally engine.release()
+  }
+
+  test("a call at a core the engine returned starts from that core") {
+    val pairs = TestGraphs.skewedPairs(60, 300, seed = 44)
+    val g = LocalDigraph.fromPairs(pairs)
+    val engines: Seq[(String, () => CoreEngine)] = Seq(
+      "local" -> (() => new LocalCoreEngine(g)),
+      "spark, whole graph on the driver" -> (() => new SparkCoreEngine(TestGraphs.df(spark, pairs))))
+    for ((name, mk) <- engines) using(mk()) { e =>
+      val first = e.core(2, 2).get
+      assert(first.m < g.m, name)
+      // peeling a core at its own (x,y) removes nothing, and the peel then
+      // returns its input: the known core's digraph itself
+      assert(e.core(2, 2).get.sub() eq first.sub(), name)
+    }
+  }
+
+  test("a call at a core the engine peeled in Spark runs no job") {
+    val pairs = TestGraphs.skewedPairs(60, 300, seed = 44)
+    // sources of out-degree 1 and destinations of in-degree 1, which [2,2] drops
+    val g = LocalDigraph.fromPairs(pairs)
+    assert((0 until g.n).exists(v => g.outDeg(v) == 1) && (0 until g.n).exists(v => g.inDeg(v) == 1))
+    using(new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = 0L)) { e =>
+      assert(e.core(2, 2).nonEmpty)
+      var again: Option[CoreHandle] = None
+      assert(jobShapes { again = e.core(2, 2) } === Seq())
+      assert(again.map(_.m) === Some(LocalXYCore.peel(g, 2, 2).m.toLong))
+    }
   }
 
   /** ``core`` reached its fixpoint in Spark with exactly the degrees ``want``. */

@@ -1,13 +1,12 @@
 package repro.exact
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGraphs
+import repro.{SparkSpec, TestGraphs}
 import repro.core.{LocalCoreEngine, SparkCoreEngine}
 import repro.graph.LocalDigraph
 import repro.ref.BruteForce
 
 /** Exact DDS vs exhaustive ground truth, across all three modes. */
-class DDSExactSpec extends AnyFunSuite {
+class DDSExactSpec extends SparkSpec {
 
   private def localEngine(pairs: Seq[(Long, Long)]) =
     new LocalCoreEngine(LocalDigraph.fromPairs(pairs))
@@ -187,7 +186,6 @@ class DDSExactSpec extends AnyFunSuite {
   // ---- Spark engine parity ----
   for (seed <- 1 to 4) {
     test(s"Spark engine CoreExact equals local engine (seed=$seed)") {
-      val spark = repro.SparkSpec.shared
       val pairs = TestGraphs.randomPairs(10, 35, 9000 + seed)
       val rLocal = runMode(pairs, DDSExact.Mode.CoreExact)
       val opt = BruteForce.dds(LocalDigraph.fromPairs(pairs)).density
@@ -208,7 +206,6 @@ class DDSExactSpec extends AnyFunSuite {
   // ---- adversarial inputs through every engine ----
   for ((name, pairs, rho) <- TestGraphs.adversarial; mode <- Seq(DDSExact.Mode.CoreExact, DDSExact.Mode.DC)) {
     test(s"adversarial input through every engine: $mode, $name") {
-      val spark = repro.SparkSpec.shared
       val g = LocalDigraph.fromPairs(pairs)
       val df = TestGraphs.df(spark, pairs)
       val ref = DDSExact.run(new LocalCoreEngine(g), DDSExact.Config(mode))
@@ -225,7 +222,6 @@ class DDSExactSpec extends AnyFunSuite {
   }
 
   test("Spark engine on the toy graph matches brute force") {
-    val spark = repro.SparkSpec.shared
     val toyDf = repro.SynthGraphs.toy(spark)
     val engine = new SparkCoreEngine(toyDf)
     val r = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.CoreExact))

@@ -1,7 +1,6 @@
 package repro.exact
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGraphs
+import repro.{SparkSpec, TestGraphs}
 import repro.core.{Candidate, LocalCoreEngine, SparkCoreEngine}
 import repro.graph.LocalDigraph
 import repro.ref.BruteForce
@@ -9,7 +8,7 @@ import repro.ref.BruteForce
 /** Direct validation of the mathematical facts the exact search relies on
   * (DESIGN.md "Mathematical core"), on exhaustively-checkable graphs.
   */
-class PruningLemmaSpec extends AnyFunSuite {
+class PruningLemmaSpec extends SparkSpec {
 
   /** The most edges of any pair with |S| = s and |T| = t, by brute force. */
   private def maxEdges(g: LocalDigraph): Array[Array[Long]] = {
@@ -160,7 +159,6 @@ class PruningLemmaSpec extends AnyFunSuite {
   }
 
   test("planted dense block recovered end-to-end via Spark CoreExact") {
-    val spark = repro.SparkSpec.shared
     val edges = repro.SynthGraphs.planted(spark, 300, 1200, 8, 10, 0.9, seed = 41)
     val engine = new SparkCoreEngine(edges)
     val r = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.CoreExact))

@@ -1,10 +1,9 @@
 package repro.graph
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGraphs
+import repro.{SparkSpec, TestGraphs}
 
 /** Driver-side CSR digraph: construction, adjacency, edge counting. */
-class LocalDigraphSpec extends AnyFunSuite {
+class LocalDigraphSpec extends SparkSpec {
 
   test("fromPairs drops self-loops and dedupes") {
     val g = LocalDigraph.fromPairs(Seq((1L, 1L), (1L, 2L), (1L, 2L), (2L, 3L)))
@@ -80,14 +79,12 @@ class LocalDigraphSpec extends AnyFunSuite {
   }
 
   test("fromEdges round-trips through a DataFrame") {
-    val spark = repro.SparkSpec.shared
     val pairs = TestGraphs.randomPairs(10, 25, seed = 7)
     val g = LocalDigraph.fromEdges(TestGraphs.df(spark, pairs))
     assert(TestGraphs.edgePairs(g).toSet === pairs.toSet)
   }
 
   test("fromEdges rejects a frame that is not canonical edges") {
-    val spark = repro.SparkSpec.shared
     import spark.implicits._
     intercept[IllegalArgumentException](LocalDigraph.fromEdges(Seq((1, 2)).toDF("src", "dst")))
     intercept[IllegalArgumentException](LocalDigraph.fromEdges(Seq((1L, 2L)).toDF("dst", "src")))
