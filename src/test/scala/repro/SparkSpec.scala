@@ -2,7 +2,7 @@ package repro
 
 import org.apache.spark.JobExecutionStatus
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
+import org.scalatest.{BeforeAndAfterAll, Failed, Outcome}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -15,21 +15,35 @@ import scala.util.Random
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
   * paper's contribution is the broadcast side.
   *
-  * A suite fails if it leaves data cached in the shared session (an
-  * engine it did not release, a frame it did not unpersist): a later
-  * ``cache()`` of the same plan would be a no-op, and the first release
-  * would uncache a frame another reader still uses. The cache is cleared
-  * after the check, so a leak fails only the suite that made it.
+  * A test fails if it leaves data cached in the shared session (an engine
+  * it did not release, a frame it did not unpersist): a later ``cache()``
+  * of the same plan would be a no-op, and the first release would uncache
+  * a frame another reader still uses. The check runs after each test, as
+  * ``Dataset.unpersist`` uncaches by plan: a leak would otherwise be hidden
+  * by a later test that caches and unpersists an equal plan. It runs again
+  * after the suite, for what ``beforeAll`` or a suite-level field caches.
+  * The cache is cleared after each check, so a leak fails only the test or
+  * suite that made it.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
+  /** True iff the shared session held no cached data; clears it either way. */
+  private def cacheWasClean(): Boolean = {
+    val clean = spark.sharedState.cacheManager.isEmpty
+    spark.catalog.clearCache()
+    clean
+  }
+
+  override def withFixture(test: NoArgTest): Outcome = {
+    val outcome = super.withFixture(test)
+    if (cacheWasClean() || !outcome.isSucceeded) outcome
+    else Failed(s"${test.name} left data cached in the shared session")
+  }
+
   override def afterAll(): Unit =
-    try {
-      val clean = spark.sharedState.cacheManager.isEmpty
-      spark.catalog.clearCache()
-      assert(clean, s"${getClass.getSimpleName} left data cached in the shared session")
-    } finally super.afterAll()
+    try assert(cacheWasClean(), s"${getClass.getSimpleName} left data cached in the shared session")
+    finally super.afterAll()
 }
 
 object SparkSpec {

@@ -44,6 +44,41 @@ class ApproxSpec extends SparkSpec {
     }
   }
 
+  /** An ER background of 8.4 edges per id over 2,000 ids plus a planted
+    * 40×60 block at p = 0.5: the benchmark's ``approx-spark`` shape at 1/25
+    * of its size (m ≈ 18k).
+    */
+  private def plantedBlock(seed: Long): Seq[(Long, Long)] = {
+    val rnd = new scala.util.Random(seed)
+    val block = for (i <- 1 to 40; j <- 1 to 60 if rnd.nextDouble() < 0.5) yield (i.toLong, (100 + j).toLong)
+    (TestGraphs.randomPairs(2000, 16800, seed) ++ block).distinct
+  }
+
+  // At a cutoff of 0.95 m (the benchmark's 400k of 421k), the [x,1]-cores
+  // for small x are above the cutoff and differ from the graph by a few
+  // edges, so each such call would be a Spark job; CoreApprox makes none of
+  // them. The jobs left are the [1,y] doubling at y = 2, 4 and 8, and the
+  // y_max(x) probes at a large x whose smallest known core below is still
+  // above the cutoff.
+  for ((seed, jobs, xy) <- Seq((1L, 6, (22, 16)), (2L, 4, (25, 15)))) {
+    test(s"CoreApprox at a cutoff just below m runs $jobs one-stage Spark jobs and finds the local answer (seed=$seed)") {
+      val pairs = plantedBlock(seed)
+      val g = local(pairs)
+      val ca = CoreApprox.run(new LocalCoreEngine(g))
+      val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = g.m * 95 / 100)
+      var sa: CoreApprox.Detail = null
+      val shapes =
+        try {
+          engine.n // set-up: the cache fill, count and allDegrees pass
+          jobShapes { sa = CoreApprox.run(engine) }
+        } finally engine.release()
+      assert(shapes === Seq.fill(jobs)(1))
+      assert((sa.x, sa.y) === xy && (ca.x, ca.y) === xy)
+      assert(sa.candidate.s.toSeq === ca.candidate.s.toSeq && sa.candidate.t.toSeq === ca.candidate.t.toSeq)
+      assert(sa.result.density === ca.result.density)
+    }
+  }
+
   // ---- PeelApprox ----
   test("PeelApprox on star k=9 finds the star") {
     val r = PeelApprox.run(local((1 to 9).map(i => (0L, i.toLong))))

@@ -8,6 +8,7 @@ import scala.util.Random
 
 /** Staircase max-x·y search and skyline vs grid-scan ground truth. */
 class MaxCoreSpec extends SparkSpec {
+  import MaxCoreSpec.Call
 
   private def engineOf(pairs: Seq[(Long, Long)]): LocalCoreEngine =
     new LocalCoreEngine(LocalDigraph.fromPairs(pairs))
@@ -130,31 +131,103 @@ class MaxCoreSpec extends SparkSpec {
     for (cutoff <- Seq(None, Some(thirdOfM(pairs)))) assertSparkMatchesLocal(pairs, cutoff)
   }
 
-  /** Forwards to ``inner`` and logs every core call as (x, y, non-empty),
-    * and the (x, y) of every call given a warm handle.
-    */
+  /** Forwards to ``inner`` and logs every core call. */
   private final class LoggingEngine(inner: CoreEngine) extends CoreEngine {
-    val calls = ArrayBuffer.empty[(Int, Int, Boolean)]
-    val warmAt = ArrayBuffer.empty[(Int, Int)]
+    val calls = ArrayBuffer.empty[Call]
     def n: Long = inner.n
     def m: Long = inner.m
     def fullSub(): LocalDigraph = inner.fullSub()
     def core(x: Int, y: Int, warm: Option[CoreHandle]): Option[CoreHandle] = {
       val h = inner.core(x, y, warm)
-      calls += ((x, y, h.nonEmpty))
-      if (warm.nonEmpty) warmAt += ((x, y))
+      calls += Call(x, y, warm, h)
       h
     }
   }
 
-  test("maxXY passes a warm handle only to its [x,1] calls, and the engine starts the rest") {
+  /** The largest x·y among the cores returned before each call (0 before the first). */
+  private def bestBefore(calls: IndexedSeq[Call]): IndexedSeq[Long] =
+    calls.scanLeft(0L)((b, c) => c.got.fold(b)(h => b max h.x.toLong * h.y)).dropRight(1)
+
+  /** The walk's own probes: the [x, yNeed] call at each x it visits, yNeed =
+    * ⌊B/x⌋ + 1 for the best product B so far. They and the first, [1,1] call
+    * are the calls that are not steps of a one-dimensional search.
+    */
+  private def walkProbes(calls: IndexedSeq[Call]): IndexedSeq[Int] = {
+    val b = bestBefore(calls)
+    calls.indices.filter(i => i > 0 && calls(i).warm.isEmpty && calls(i).y == b(i) / calls(i).x + 1)
+  }
+
+  /** y_max(x) by scanning y up from 1; 0 where even [x,1] is empty. */
+  private def yMax(g: LocalDigraph, x: Int): Int =
+    Iterator.from(1).takeWhile(y => LocalXYCore.peel(g, x, y).nonEmpty).size
+
+  /** The call-pattern invariants of ``maxXY`` on ``g``:
+    *  - a warm handle is passed only by a one-dimensional search: it is the
+    *    latest non-empty core returned, lies below the call and shares its x
+    *    or its y;
+    *  - a call without one is the first call, a walk probe, or a step down
+    *    at the x of the call before it, which was empty and had none;
+    *  - on a graph with two or more edges at least one warm handle is
+    *    passed (the [1,2] probe gets the [1,1]-core);
+    *  - the last call is the empty [x,1] probe, x ≥ 2, that ends the walk.
+    *
+    * So an [x,1] call with x ≥ 2 is a walk probe where ⌊B/x⌋ = 0, the
+    * bottom of a downward y_max(x) search, or a step of a y = 1 plateau in
+    * x, never a start peeled at each x.
+    */
+  private def assertCallPattern(g: LocalDigraph, clue: String): Unit = {
+    val engine = new LoggingEngine(new LocalCoreEngine(g))
+    val mx = MaxCore.maxXY(engine).get
+    assert(mx.x.toLong * mx.y === BruteForce.maxXYGrid(g).map(p => p._1.toLong * p._2).get, clue)
+    val calls = engine.calls.toIndexedSeq
+    val walk = walkProbes(calls).toSet
+    var latest: Option[CoreHandle] = None
+    for ((c, i) <- calls.zipWithIndex) {
+      c.warm match {
+        case Some(w) =>
+          assert(latest.exists(_ eq w), s"$clue: call $i $c is not warmed by the latest core $latest")
+          assert(w.x <= c.x && w.y <= c.y && (w.x == c.x || w.y == c.y), s"$clue: call $i $c, warm [${w.x},${w.y}]")
+        case None =>
+          val stepDown = i > 0 && calls(i - 1).warm.isEmpty && calls(i - 1).got.isEmpty &&
+            calls(i - 1).x == c.x && calls(i - 1).y > c.y
+          assert(i == 0 || walk(i) || stepDown, s"$clue: call $i $c is no walk probe and no step down")
+      }
+      c.got.foreach(h => latest = Some(h))
+    }
+    if (g.m >= 2) assert(calls.exists(_.warm.nonEmpty), s"$clue: no warm handle in $calls")
+    val last = calls.last
+    assert(last.x >= 2 && last.y == 1 && last.got.isEmpty, s"$clue: the walk ends with $last")
+  }
+
+  test("maxXY passes a warm handle only within its one-dimensional searches, and ends on an empty [x,1] probe") {
+    for (seed <- 1 to 3)
+      assertCallPattern(LocalDigraph.fromPairs(TestGraphs.skewedPairs(50, 250, seed)), s"skewed seed $seed")
+    for (seed <- 1 to 6)
+      assertCallPattern(LocalDigraph.fromPairs(TestGraphs.randomPairs(10, 12 + 5 * seed, 700 + seed)), s"random seed $seed")
+    val k5 = for (i <- 0 until 5; j <- 0 until 5 if i != j) yield (i.toLong, j.toLong)
+    assertCallPattern(LocalDigraph.fromPairs(k5), "bidirected K5")
+    assertCallPattern(LocalDigraph.fromPairs((1 to 9).map(i => (0L, i.toLong))), "star k=9")
+  }
+
+  test("a single edge: maxXY's two calls are [1,1] and the empty [2,1] that ends the walk, with no warm handle") {
+    val engine = new LoggingEngine(new LocalCoreEngine(LocalDigraph.fromPairs(Seq((1L, 2L)))))
+    assert(MaxCore.maxXY(engine).map(h => (h.x, h.y)) === Some((1, 1)))
+    assert(engine.calls.map(c => (c.x, c.y, c.warm.isEmpty, c.got.isEmpty)) === Seq((1, 1, true, false), (2, 1, true, true)))
+  }
+
+  test("where y_max(x) ≥ 2 up to the largest out-degree, the only [x,1] call with x ≥ 2 ends the walk") {
     for (seed <- 1 to 3) {
-      val g = LocalDigraph.fromPairs(TestGraphs.skewedPairs(50, 250, seed))
+      // a complete 6×12 block whose sources have the largest out-degree, 12,
+      // in random noise over its targets and 52 other vertices
+      val block = for (u <- 1 to 6; v <- 7 to 18) yield (u.toLong, v.toLong)
+      val noise = TestGraphs.randomPairs(64, 150, 800 + seed).map { case (u, v) => (u + 6, v + 6) }
+      val g = LocalDigraph.fromPairs((block ++ noise).distinct)
+      val maxOut = (0 until g.n).map(g.outDeg).max
+      assert(maxOut === 12 && yMax(g, maxOut) >= 2, s"seed $seed: y_max($maxOut) = ${yMax(g, maxOut)}")
       val engine = new LoggingEngine(new LocalCoreEngine(g))
-      val mx = MaxCore.maxXY(engine).get
-      assert(mx.x.toLong * mx.y === BruteForce.maxXYGrid(g).map(p => p._1.toLong * p._2).get, s"seed $seed")
-      assert(engine.warmAt.nonEmpty && engine.warmAt.forall { case (x, y) => x >= 2 && y == 1 },
-        s"seed $seed: ${engine.warmAt}")
+      MaxCore.maxXY(engine)
+      val calls = engine.calls.toIndexedSeq
+      assert(calls.filter(c => c.x >= 2 && c.y == 1) === Seq(calls.last), s"seed $seed: $calls")
     }
   }
 
@@ -180,23 +253,24 @@ class MaxCoreSpec extends SparkSpec {
       val grid = BruteForce.maxXYGrid(g).get
       assert(mx.x.toLong * mx.y === grid._1.toLong * grid._2, s"staircase [${mx.x},${mx.y}] vs grid $grid")
       assert(BruteForce.skyline(g).contains((mx.x, mx.y)), s"[${mx.x},${mx.y}] is no skyline corner")
-      // The [x, yNeed] probe is the call right after a non-empty [x,1] with
-      // x ≥ 2. Where it is empty, the next [x',1] call must be at
-      // x' = max(x + 1, B/y_max(x) + 1), B the best x·y so far.
+      assertCallPattern(g, s"hub seed $seed")
+      // A stall is an empty walk probe [x, yNeed], the first call at a newly
+      // visited x. The next walk probe must be at x' = max(x + 1,
+      // B/y_max(x) + 1), B the best x·y so far, and there is none where
+      // y_max(x) = 0.
       val calls = engine.calls.toIndexedSeq
-      def yMax(x: Int): Int = Iterator.from(1).takeWhile(y => LocalXYCore.peel(g, x, y).nonEmpty).size
-      val stalls = calls.indices.dropRight(1).collect {
-        case i if calls(i)._1 >= 2 && calls(i)._2 == 1 && calls(i)._3 &&
-                  calls(i + 1)._1 == calls(i)._1 && calls(i + 1)._2 > 1 && !calls(i + 1)._3 =>
-          val (x, yNeed) = (calls(i)._1, calls(i + 1)._2)
-          val b = calls.take(i).collect { case (cx, cy, true) => cx.toLong * cy }.max
-          val next = calls.drop(i + 2).collectFirst { case (x2, 1, _) => x2.toLong }
-          (x, yNeed, yMax(x), next, math.max(x + 1L, b / yMax(x) + 1))
+      val b = bestBefore(calls)
+      val walk = walkProbes(calls)
+      val stalls = walk.zipWithIndex.collect {
+        case (i, j) if calls(i).got.isEmpty =>
+          val (x, yNeed, ym) = (calls(i).x, calls(i).y, yMax(g, calls(i).x))
+          val next = walk.lift(j + 1).map(calls(_).x.toLong)
+          (x, yNeed, ym, next, Option.when(ym > 0)(math.max(x + 1L, b(i) / ym + 1)))
       }
       assert(stalls.nonEmpty, s"no empty [x, yNeed] probe in $calls")
-      for ((x, _, _, next, jump) <- stalls) assert(next.forall(_ == jump), s"after x=$x: $stalls")
-      // somewhere y_max(x) < yNeed − 1, where the bound yNeed − 1 would jump less
-      assert(stalls.exists { case (_, yNeed, ym, _, _) => ym < yNeed - 1 }, s"$stalls")
+      for ((x, _, _, next, jump) <- stalls) assert(next === jump, s"after x=$x: $stalls")
+      // somewhere 0 < y_max(x) < yNeed − 1, where the bound yNeed − 1 would jump less
+      assert(stalls.exists { case (_, yNeed, ym, _, _) => ym > 0 && ym < yNeed - 1 }, s"$stalls")
     }
   }
 
@@ -211,4 +285,10 @@ class MaxCoreSpec extends SparkSpec {
     assert(mx.x.toLong * mx.y === 5000L, s"got [${mx.x},${mx.y}]") // hub star beats 30x30 block (900)
     assert(ms < 30000, s"staircase took ${ms}ms — jumping broken?")
   }
+}
+
+object MaxCoreSpec {
+
+  /** One core call: its (x, y), the warm handle it was given and what it returned. */
+  private final case class Call(x: Int, y: Int, warm: Option[CoreHandle], got: Option[CoreHandle])
 }
