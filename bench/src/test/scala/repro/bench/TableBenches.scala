@@ -2,14 +2,15 @@ package repro.bench
 
 import repro.SparkSpec
 
-/** One suite per evaluation table; each prints paper-style rows and writes
-  * them under bench/results/. Assertions are sanity checks on the shape of
+/** One suite per evaluation table; each runs the table as [[Tables]]
+  * configures it, prints paper-style rows and writes them under
+  * bench/results/. Assertions are sanity checks on the shape of
   * the reproduced result (who wins, agreement of exact modes), not on
   * absolute runtimes.
   */
 class Table2DatasetsBench extends SparkSpec {
   test("table 2: dataset statistics") {
-    val rows = Tables.table2(spark, Datasets.all)
+    val rows = Tables.table2(spark)
     assert(rows.size === Datasets.all.size)
     assert(rows.forall(_.contains("ρ(CoreApprox)")))
   }
@@ -17,19 +18,14 @@ class Table2DatasetsBench extends SparkSpec {
 
 class Table3ExactBench extends SparkSpec {
   test("table 3: exact algorithm runtimes") {
-    val rows = Tables.table3(spark, Seq(
-      Datasets.toy  -> Tables.ExactBudgets(60000, 120000, 120000),
-      Datasets.erXS -> Tables.ExactBudgets(90000, 120000, 120000),
-      Datasets.erS  -> Tables.ExactBudgets(90000, 180000, 180000),
-      Datasets.plS  -> Tables.ExactBudgets(0, 240000, 240000, runBaseline = false),
-    ))
+    val rows = Tables.table3(spark)
     assert(rows.size === 4)
   }
 }
 
 class Table4ApproxTimeBench extends SparkSpec {
   test("table 4: approximation runtimes") {
-    val rows = Tables.table4(spark, Datasets.large, bsBudgetMs = 120000)
+    val rows = Tables.table4(spark)
     assert(rows.exists(_.contains("CoreApprox")))
     assert(rows.exists(_.contains("BSApprox")))
     assert(rows.exists(_.contains("PeelApprox")))
@@ -38,12 +34,7 @@ class Table4ApproxTimeBench extends SparkSpec {
 
 class Table5ApproxQualityBench extends SparkSpec {
   test("table 5: approximation quality") {
-    val rows = Tables.table5(spark, Seq(
-      Datasets.plS   -> Some(240000L),
-      Datasets.erM   -> None,
-      Datasets.plM   -> None,
-      Datasets.plant -> Some(240000L),
-    ))
+    val rows = Tables.table5(spark)
     assert(rows.size === 4)
     // CoreApprox must honour its 2-approximation bound against the reference
     for (r <- rows) {
@@ -56,14 +47,14 @@ class Table5ApproxQualityBench extends SparkSpec {
 
 class Table6ScalabilityBench extends SparkSpec {
   test("table 6: scalability of CoreApprox") {
-    val rows = Tables.table6(spark, sizes = Seq(12500, 25000, 50000, 100000))
+    val rows = Tables.table6(spark)
     assert(rows.size === 4)
   }
 }
 
 class Table7FlowPruningBench extends SparkSpec {
   test("table 7: core pruning shrinks flow networks") {
-    val rows = Tables.table7(spark, Datasets.plS, budgetMs = 240000)
+    val rows = Tables.table7(spark)
     assert(rows.size === 3)
     def maxNodes(row: String): Option[Long] =
       "nodes\\(max\\)=([0-9]+)".r.findFirstMatchIn(row).map(_.group(1).toLong)

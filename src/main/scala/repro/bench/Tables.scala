@@ -7,7 +7,7 @@ import repro.SynthGraphs
 import repro.approx.{ApproxResult, BSApprox, CoreApprox, PeelApprox}
 import repro.core.SparkCoreEngine
 import repro.exact.DDSExact
-import repro.graph.{DigraphOps, LocalDigraph}
+import repro.graph.DigraphOps
 
 /** Dataset specs for the evaluation tables (synthetic stand-ins — see
   * DESIGN.md "Substitutions"). Sizes are chosen so the reproduction runs
@@ -31,6 +31,9 @@ object Datasets {
   val all: Seq[DatasetSpec]   = Seq(toy, erXS, erS, plS, erM, plM, plant, plL)
 }
 
+/** One harness per evaluation table. Each table's datasets, budgets and
+  * sizes are fixed here, so every run of a table runs the same entries.
+  */
 object Tables {
 
   private def fmtMs(ms: Long, dnf: Boolean): String =
@@ -73,8 +76,8 @@ object Tables {
   }
 
   // ---- Table 2: dataset statistics -------------------------------------
-  def table2(spark: SparkSession, specs: Seq[DatasetSpec] = Datasets.all): Seq[String] = {
-    val rows = specs.map { spec =>
+  def table2(spark: SparkSession): Seq[String] = {
+    val rows = Datasets.all.map { spec =>
       withEngine(spec.build(spark)) { (engine, setupMs) =>
         val st = DigraphOps.stats(engine.allDegrees)
         val ca = CoreApprox.run(engine)
@@ -90,17 +93,20 @@ object Tables {
   }
 
   // ---- Table 3: exact algorithms ---------------------------------------
-  final case class ExactBudgets(baselineMs: Long = 120000, dcMs: Long = 300000,
-                                coreMs: Long = 300000, runBaseline: Boolean = true)
+  // (dataset, Baseline budget (None: not run), DC budget, CoreExact budget), in ms
+  private val table3Entries = Seq(
+    (Datasets.toy,  Some(60000L), 120000L, 120000L),
+    (Datasets.erXS, Some(90000L), 120000L, 120000L),
+    (Datasets.erS,  Some(90000L), 180000L, 180000L),
+    (Datasets.plS,  None,         240000L, 240000L))
 
-  def table3(spark: SparkSession,
-             entries: Seq[(DatasetSpec, ExactBudgets)]): Seq[String] = {
-    val rows = entries.map { case (spec, b) =>
+  def table3(spark: SparkSession): Seq[String] = {
+    val rows = table3Entries.map { case (spec, baselineMs, dcMs, coreMs) =>
       withEngine(spec.build(spark)) { (engine, setupMs) =>
         def run(mode: DDSExact.Mode, ms: Long) = DDSExact.run(engine, DDSExact.Config(mode, ms))
-        val core = run(DDSExact.Mode.CoreExact, b.coreMs)
-        val dc = run(DDSExact.Mode.DC, b.dcMs)
-        val baseline = Option.when(b.runBaseline)(run(DDSExact.Mode.Baseline, b.baselineMs))
+        val core = run(DDSExact.Mode.CoreExact, coreMs)
+        val dc = run(DDSExact.Mode.DC, dcMs)
+        val baseline = baselineMs.map(run(DDSExact.Mode.Baseline, _))
 
         def cell(r: DDSExact.Result): String =
           fmtMs(r.elapsedMs, r.dnf) + f"(ρ=${r.density}%.3f,p=${r.probes})"
@@ -115,18 +121,18 @@ object Tables {
   }
 
   // ---- Table 4: approximation runtimes ---------------------------------
-  def table4(spark: SparkSession, specs: Seq[DatasetSpec] = Datasets.large,
-             bsBudgetMs: Long = 180000): Seq[String] = {
-    val rows = specs.flatMap { spec =>
+  def table4(spark: SparkSession): Seq[String] = {
+    val rows = Datasets.large.flatMap { spec =>
       withEngine(spec.build(spark)) { (engine, setupMs) =>
-        val (local, loadMs) = timed(LocalDigraph.fromEdges(engine.base))
+        // within the engine's cutoff, the digraph its set-up collected
+        val (local, loadMs) = timed(engine.fullSub())
         val peel = PeelApprox.run(local, eps = 0.5)
         // CoreApprox before BSApprox: hundreds of BS rounds degrade the
         // shared session and would pollute CoreApprox's timing
         val ca = CoreApprox.run(engine).result
-        val bs = BSApprox.run(engine, eps = 1.0, gridFactor = 2.0, wallBudgetMs = bsBudgetMs)
+        val bs = BSApprox.run(engine, eps = 1.0, gridFactor = 2.0, wallBudgetMs = 120000)
         val out = Seq(
-          s"${spec.name} (engine set-up: ${setupMs}ms; driver edge collect for sequential baseline: ${loadMs}ms)",
+          s"${spec.name} (engine set-up: ${setupMs}ms; fullSub for sequential baseline: ${loadMs}ms)",
           s"  ${peel.row}",
           s"  ${bs.row}",
           s"  ${ca.row}")
@@ -138,11 +144,17 @@ object Tables {
   }
 
   // ---- Table 5: approximation quality ----------------------------------
-  def table5(spark: SparkSession,
-             entries: Seq[(DatasetSpec, Option[Long])]): Seq[String] = {
-    val rows = entries.map { case (spec, exactBudget) =>
+  // (dataset, CoreExact budget for ρopt in ms (None: not run))
+  private val table5Entries = Seq(
+    Datasets.plS   -> Some(240000L),
+    Datasets.erM   -> None,
+    Datasets.plM   -> None,
+    Datasets.plant -> Some(240000L))
+
+  def table5(spark: SparkSession): Seq[String] = {
+    val rows = table5Entries.map { case (spec, exactBudget) =>
       withEngine(spec.build(spark)) { (engine, setupMs) =>
-        val local = LocalDigraph.fromEdges(engine.base)
+        val local = engine.fullSub()
         val peel = PeelApprox.run(local, eps = 0.5)
         val bs = BSApprox.runLocal(local, eps = 1.0)
         val ca = CoreApprox.run(engine).result
@@ -162,8 +174,8 @@ object Tables {
   }
 
   // ---- Table 6: scalability --------------------------------------------
-  def table6(spark: SparkSession, sizes: Seq[Long] = Seq(12500, 25000, 50000, 100000)): Seq[String] = {
-    val rows = sizes.map { n =>
+  def table6(spark: SparkSession): Seq[String] = {
+    val rows = Seq(12500L, 25000L, 50000L, 100000L).map { n =>
       // average degree 10
       withEngine(SynthGraphs.powerLaw(spark, n, n * 10, seed = 31)) { (engine, setupMs) =>
         val (ca, ms) = timed(CoreApprox.run(engine))
@@ -177,8 +189,9 @@ object Tables {
   }
 
   // ---- Table 7: core pruning effect on flow networks -------------------
-  def table7(spark: SparkSession, spec: DatasetSpec = Datasets.plS,
-             budgetMs: Long = 300000): Seq[String] = {
+  def table7(spark: SparkSession): Seq[String] = {
+    val spec = Datasets.plS
+    val budgetMs = 240000L
     val rows = withEngine(spec.build(spark)) { (engine, setupMs) =>
       val dc = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.DC, budgetMs))
       val core = DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.CoreExact, budgetMs))

@@ -376,6 +376,31 @@ class XYCoreSparkSpec extends SparkSpec {
     } finally engine.release()
   }
 
+  test("fullSub within the cutoff is the digraph n collected: one instance, no job") {
+    val pairs = TestGraphs.skewedPairs(60, 300, seed = 44)
+    val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs))
+    try {
+      engine.n
+      var first, second: LocalDigraph = null
+      assert(jobShapes { first = engine.fullSub(); second = engine.fullSub() } === Seq())
+      assert(first eq second)
+      assert(first.m.toLong === engine.m)
+    } finally engine.release()
+  }
+
+  test("fullSub above the cutoff has the input's edges, without self-loops or duplicates") {
+    val clean = TestGraphs.randomPairs(30, 120, seed = 50)
+    val pairs = clean ++ clean.take(40) ++ (1 to 10).map(i => (i.toLong, i.toLong))
+    val want = LocalDigraph.fromPairs(pairs)
+    val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = 0L)
+    try {
+      val got = engine.fullSub()
+      assert(got.m === clean.size && want.m === clean.size)
+      assert(got.ids.toSeq === want.ids.toSeq)
+      assert(TestGraphs.edgePairs(got).toSet === TestGraphs.edgePairs(want).toSet)
+    } finally engine.release()
+  }
+
   test("a peel whose drops all have degree 0 runs no job") {
     val pairs = TestGraphs.skewedPairs(60, 300, seed = 44)
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
