@@ -19,23 +19,19 @@ object PeelApprox {
 
   def run(g: LocalDigraph, eps: Double = 0.5): ApproxResult = {
     require(eps > 0, s"need eps > 0 (the ratio grid must grow), got $eps")
-    val t0 = System.nanoTime()
-    if (g.m == 0) {
-      return ApproxResult("PeelApprox", 0.0, 0, 0, (System.nanoTime() - t0) / 1000000L, "empty")
-    }
-    var best = 0.0
-    var bestS = 0L
-    var bestT = 0L
-    var a = 1.0 / g.tSize
-    val hi = g.sSize.toDouble
-    while (a <= hi * (1 + eps)) {
-      val (d, s, t) = peelAtRatio(g, a)
-      if (d > best) { best = d; bestS = s; bestT = t }
-      a *= (1.0 + eps)
-    }
-    val ms = (System.nanoTime() - t0) / 1000000L
-    ApproxResult("PeelApprox", best, bestS, bestT, ms, f"eps=$eps%.2f")
+    val (d, s, t) = densest(ratioGrid(g.sSize, g.tSize, 1 + eps).map(peelAtRatio(g, _)))
+    ApproxResult(d, s, t)
   }
+
+  /** The ratios both peeling baselines try: 1/|T|, then each times
+    * ``factor``, up to |S|·``factor``. Empty when |T| = 0.
+    */
+  private[approx] def ratioGrid(s: Long, t: Long, factor: Double): Iterator[Double] =
+    Iterator.iterate(1.0 / t)(_ * factor).takeWhile(_ <= s * factor)
+
+  /** The first of the densest (density, |S|, |T|), or zeros if none is positive. */
+  private[approx] def densest(found: Iterator[(Double, Long, Long)]): (Double, Long, Long) =
+    found.foldLeft((0.0, 0L, 0L))((best, r) => if (r._1 > best._1) r else best)
 
   /** One fixed-ratio peel; returns (best density, |S|, |T| at the best step). */
   private[approx] def peelAtRatio(g: LocalDigraph, a: Double): (Double, Long, Long) = {

@@ -12,36 +12,47 @@ package repro.core
   */
 object MaxCore {
 
-  /** The core at the largest k in (lo, hi) whose ``probe(k, warm)`` is
-    * non-empty, or ``from`` if there is none, given that k = lo is
-    * non-empty with core ``from`` (lo = 0 and ``from`` = None: nothing
-    * known) and that k = hi is empty or out of range. Steps from one end by
-    * doubling strides (up from lo, or down from hi when ``fromTop``) until
-    * a probe turns, then bisects. Every probe is passed ``loCore``, the
-    * latest non-empty core (None until there is one), which lies below it.
-    * With x fixed and k = y this is y_max(x); with y fixed and k = x it is
-    * x_max(y), which collapses the long constant-y plateaus of
-    * hub-dominated skylines to O(log) probes.
+  /** The largest k in [lo, hi) that passes ``test``, given that k = lo
+    * passes (it is not tested) and k = hi fails or is out of range, and that
+    * the passing k are one run up from lo. Steps from one end by doubling
+    * strides (up from lo, or down from hi when ``fromTop``) until a test
+    * turns, then bisects.
     */
-  private def maxFrom(lo: Int, from: Option[CoreHandle], hi: Long, fromTop: Boolean = false)(
-      probe: (Int, Option[CoreHandle]) => Option[CoreHandle]): Option[CoreHandle] = {
-    var loK    = lo.toLong
-    var loCore = from
-    var hiK    = hi
-    // true iff k is non-empty; moves the end it lands on
-    def test(k: Long): Boolean = probe(k.toInt, loCore) match {
-      case Some(h) => loK = k; loCore = Some(h); true
-      case None    => hiK = k; false
-    }
+  private[repro] def lastTrue(lo: Long, hi: Long, fromTop: Boolean = false)(test: Long => Boolean): Long = {
+    var loK = lo
+    var hiK = hi
+    // true iff k passes; moves the end it lands on
+    def probe(k: Long): Boolean = { val ok = test(k); if (ok) loK = k else hiK = k; ok }
     // doubling phase, up from lo or down from hi, until a probe turns
     var step   = 1L
     var turned = false
     while (!turned && hiK - loK > 1) {
-      turned = if (fromTop) test(math.max(hiK - step, loK + 1)) else !test(math.min(loK + step, hiK - 1))
+      turned = if (fromTop) probe(math.max(hiK - step, loK + 1)) else !probe(math.min(loK + step, hiK - 1))
       step *= 2
     }
     // bisection phase on (loK, hiK)
-    while (hiK - loK > 1) test(loK + (hiK - loK) / 2)
+    while (hiK - loK > 1) probe(loK + (hiK - loK) / 2)
+    loK
+  }
+
+  /** The core at the largest k in (lo, hi) whose ``probe(k, warm)`` is
+    * non-empty, or ``from`` if there is none, given that k = lo is
+    * non-empty with core ``from`` (lo = 0 and ``from`` = None: nothing
+    * known) and that k = hi is empty or out of range, found by
+    * [[lastTrue]]. Every probe is passed ``loCore``, the latest non-empty
+    * core (None until there is one), which lies below it. With x fixed and
+    * k = y this is y_max(x); with y fixed and k = x it is x_max(y), which
+    * collapses the long constant-y plateaus of hub-dominated skylines to
+    * O(log) probes.
+    */
+  private def maxFrom(lo: Int, from: Option[CoreHandle], hi: Long, fromTop: Boolean = false)(
+      probe: (Int, Option[CoreHandle]) => Option[CoreHandle]): Option[CoreHandle] = {
+    var loCore = from
+    lastTrue(lo.toLong, hi, fromTop) { k =>
+      val h = probe(k.toInt, loCore)
+      loCore = h.orElse(loCore)
+      h.nonEmpty
+    }
     loCore
   }
 

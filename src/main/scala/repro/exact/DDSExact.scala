@@ -55,7 +55,6 @@ object DDSExact {
                           probes: Int,
                           flows: Int,
                           flowNodes: Vector[Int],
-                          elapsedMs: Long,
                           dnf: Boolean,
                           maxXY: Option[(Int, Int)]) {
     def density: Double = best.density
@@ -88,17 +87,11 @@ object DDSExact {
   private[exact] def walk(n: Long, best: => Candidate, stop: => Boolean)
                          (probe: (Long, Long) => Option[Probe]): Boolean = {
     // The last k at which pr still prunes (fp + k·tp)/(fq + k·tq) with both
-    // terms ≤ n, by doubling then bisection in one loop. pr prunes k = 0, and
-    // its pruned ratios are an interval, so its pruned k are too.
+    // terms ≤ n. pr prunes k = 0, and its pruned ratios are an interval, so
+    // its pruned k are too.
     def lastPruned(pr: Probe, fp: Long, fq: Long, tp: Long, tq: Long): Long = {
       val kMax = math.min(if (tp > 0) (n - fp) / tp else n, if (tq > 0) (n - fq) / tq else n)
-      var (k, step, grow) = (0L, 1L, true)
-      while (step > 0)
-        if (k + step <= kMax && pr.prunes(fp + (k + step) * tp, fq + (k + step) * tq, best)) {
-          k += step
-          if (grow) step *= 2
-        } else { grow = false; step /= 2 }
-      k
+      MaxCore.lastTrue(0L, kMax + 1)(k => pr.prunes(fp + k * tp, fq + k * tq, best))
     }
 
     // A node is the open interval between Stern–Brocot neighbours
@@ -133,26 +126,16 @@ object DDSExact {
 
   def run(engine: CoreEngine, cfg: Config = Config()): Result = {
     val start = System.nanoTime()
-    def elapsedMs = (System.nanoTime() - start) / 1000000L
-
-    val full = engine.fullSub()
-    if (full.isEmpty)
-      return Result(Candidate.empty, 0, 0, Vector.empty, elapsedMs, dnf = false, None)
+    if (engine.m == 0) return Result(Candidate.empty, 0, 0, Vector.empty, dnf = false, None)
 
     var probes = 0
     var flows = 0
     val flowNodes = Vector.newBuilder[Int]
 
-    // ---- seed ----
-    var maxXYInfo: Option[(Int, Int)] = None
-    var best = Candidate(Array(full.ids(full.src(0))), Array(full.ids(full.dst(0))), 1L) // density 1 ≤ ρopt
-    if (cfg.mode == Mode.CoreExact) {
-      MaxCore.maxXY(engine).foreach { mx =>
-        maxXYInfo = Some((mx.x, mx.y))
-        val c = mx.candidate()
-        if (c.denserThan(best)) best = c
-      }
-    }
+    // ---- seed: CoreExact's max-x·y core (ρ ≥ ρopt/2), else one edge (ρ = 1) ----
+    val seed = if (cfg.mode == Mode.CoreExact) MaxCore.maxXY(engine) else None
+    lazy val full = engine.fullSub() // the flow graph of DC and Baseline only
+    var best = seed.fold(Candidate(Array(full.ids(full.src(0))), Array(full.ids(full.dst(0))), 1L))(_.candidate())
 
     // the argmaxes earlier probes ended at, one per (E, |S|, |T|), for
     // later probes to start from
@@ -195,12 +178,12 @@ object DDSExact {
       sys.error("unreachable")
     }
 
-    val done = walk(engine.n, best, elapsedMs > cfg.wallBudgetMs) { (p, q) =>
+    val done = walk(engine.n, best, (System.nanoTime() - start) / 1000000L > cfg.wallBudgetMs) { (p, q) =>
       val c = probeRatio(p, q)
       probes += 1
       argmaxes.getOrElseUpdate((c.m, c.sSize, c.tSize), c)
       if (cfg.mode == Mode.Baseline) None else Some(Probe(p, q, c.m, q * c.sSize + p * c.tSize))
     }
-    Result(best, probes, flows, flowNodes.result(), elapsedMs, dnf = !done, maxXYInfo)
+    Result(best, probes, flows, flowNodes.result(), dnf = !done, seed.map(mx => (mx.x, mx.y)))
   }
 }

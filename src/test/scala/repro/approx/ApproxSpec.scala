@@ -183,8 +183,7 @@ class ApproxSpec extends SparkSpec {
         assert((s.sSize, s.tSize) === ((l.sSize, l.tSize)), s"eps=$eps grid=$gridFactor")
         // the local loop again, counting its rounds that leave a pair
         var rounds = 0
-        val counted = BSApprox.rounds("BSApprox*", "", Right(local(pairs)), eps, gridFactor, Long.MaxValue,
-                                      System.nanoTime()) { (p, x, y) =>
+        val counted = BSApprox.rounds(Right(local(pairs)), eps, gridFactor, Long.MaxValue) { (p, x, y) =>
           val next = BSApprox.localRound(p, x, y)
           if (next.exists(_.nonEmpty)) rounds += 1
           next
@@ -241,7 +240,33 @@ class ApproxSpec extends SparkSpec {
   test("BSApprox budget hit is reported") {
     val pairs = TestGraphs.skewedPairs(50, 300, seed = 9)
     val r = runSpark(pairs, wallBudgetMs = 0)
-    assert(r.note.contains("budget hit"))
+    assert(r.budgetHit)
+  }
+
+  // ---- pinned answers of the peeling baselines ----
+  // (density, |S|, |T|) of PeelApprox (eps 0.5), BSApprox.runLocal and
+  // BSApprox.run (eps 1, grid 2), read from the versions that walked their
+  // ratio grids each in its own loop: a shared grid must visit the same
+  // ratios and keep the same first densest state.
+  private val pinnedGraphs = {
+    val rnd = new scala.util.Random(78)
+    val block = for (i <- 1 to 12; j <- 1 to 15 if rnd.nextDouble() < 0.6) yield (i.toLong, (500 + j).toLong)
+    Seq(
+      ("skewed", TestGraphs.skewedPairs(300, 2500, seed = 77), (12.831211945876353, 21L, 25L), (12.492974216010564, 21L, 16L)),
+      ("planted", (TestGraphs.randomPairs(400, 2000, 78) ++ block).distinct,
+       (7.317890075118315, 11L, 15L), (7.0992957397195395, 10L, 14L)))
+  }
+
+  for ((name, pairs, peelPin, bsPin) <- pinnedGraphs) {
+    test(s"PeelApprox and BSApprox answers are pinned on a fixed graph: $name") {
+      val g = local(pairs)
+      val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs))
+      val bsSpark = try BSApprox.run(engine) finally engine.release()
+      def answer(r: ApproxResult) = (r.density, r.sSize, r.tSize)
+      assert(answer(PeelApprox.run(g)) === peelPin)
+      assert(answer(BSApprox.runLocal(g)) === bsPin)
+      assert(answer(bsSpark) === bsPin)
+    }
   }
 
   // ---- adversarial inputs through every peeler ----

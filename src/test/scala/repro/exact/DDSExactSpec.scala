@@ -1,7 +1,7 @@
 package repro.exact
 
 import repro.{SparkSpec, TestGraphs}
-import repro.core.{LocalCoreEngine, SparkCoreEngine}
+import repro.core.{CoreEngine, CoreHandle, LocalCoreEngine, SparkCoreEngine}
 import repro.graph.LocalDigraph
 import repro.ref.BruteForce
 
@@ -181,6 +181,27 @@ class DDSExactSpec extends SparkSpec {
     assert(r.best.s.toSeq === (1L to 12L))
     assert((r.best.tSize, r.best.t.sum, r.best.m) === ((90, 92898L, 645L)))
     assert(r.maxXY === Some((60, 4)))
+  }
+
+  /** Forwards to ``inner``, except that ``fullSub`` throws. */
+  private final class NoFullSub(inner: CoreEngine) extends CoreEngine {
+    def n: Long = inner.n
+    def m: Long = inner.m
+    def fullSub(): LocalDigraph = throw new UnsupportedOperationException("fullSub")
+    def core(x: Int, y: Int, warm: Option[CoreHandle]): Option[CoreHandle] = inner.core(x, y, warm)
+  }
+
+  test("CoreExact never collects the whole graph: same answer and work without fullSub") {
+    val pairs = TestGraphs.skewedPairs(300, 2500, seed = 77)
+    val g = LocalDigraph.fromPairs(pairs)
+    def work(r: DDSExact.Result) =
+      (r.best.s.toSeq, r.best.t.toSeq, r.best.m, r.probes, r.flows, r.flowNodes, r.maxXY, r.dnf)
+    val plain = work(DDSExact.run(new LocalCoreEngine(g)))
+    assert(work(DDSExact.run(new NoFullSub(new LocalCoreEngine(g)))) === plain)
+    // a third of m: Spark rounds above the cutoff, where fullSub would be a collect
+    val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), g.m / 3L)
+    try assert(work(DDSExact.run(new NoFullSub(engine))) === plain) finally engine.release()
+    assert(DDSExact.run(new NoFullSub(new LocalCoreEngine(LocalDigraph.fromPairs(Seq.empty)))).density === 0.0)
   }
 
   // ---- Spark engine parity ----
