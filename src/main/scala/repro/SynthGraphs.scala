@@ -8,15 +8,19 @@ import repro.graph.DigraphOps
   * real datasets (offline container — see DESIGN.md "Substitutions").
   *
   * All generators return canonicalized edge DataFrames (``src``, ``dst``
-  * LONG; no self-loops; deduped), deterministic in (params, seed) for a
-  * fixed session parallelism.
+  * LONG; no self-loops; deduped), deterministic in (params, seed) on every
+  * host: ``rand`` is seeded per partition, so every draw runs over a fixed
+  * number of partitions, not the session's parallelism.
   */
 object SynthGraphs {
+
+  // the partitions of every draw (4 reproduces the graphs of a 4-core session)
+  private val Partitions = 4
 
   /** Uniform (Erdős–Rényi-style) digraph with ~``m`` distinct edges. */
   def er(spark: SparkSession, n: Long, m: Long, seed: Long = 7): DataFrame = {
     val draws = (m * 1.03).toLong + 16
-    val raw = spark.range(draws).select(
+    val raw = spark.range(0, draws, 1, Partitions).select(
       (rand(seed) * n + 1).cast("long").as("src"),
       (rand(seed + 1) * n + 1).cast("long").as("dst"))
     DigraphOps.canonicalize(raw)
@@ -36,7 +40,7 @@ object SynthGraphs {
         pow(lit(n.toDouble), rand(seedCol)).cast("long")))
     // decorrelate: permute destination ids with an affine map coprime to n
     val mul = LazyCoprime.coprimeNear(n, math.max(2L, n / 2))
-    val raw = spark.range(draws).select(
+    val raw = spark.range(0, draws, 1, Partitions).select(
       rank(seed).as("src"),
       (((rank(seed + 1) - 1) * mul + 17) % n + 1).as("dst"))
     DigraphOps.canonicalize(raw)
@@ -51,28 +55,13 @@ object SynthGraphs {
               p: Double, seed: Long = 13): DataFrame = {
     require(sSize + tSize <= n, "planted blocks must fit disjointly")
     val bg = er(spark, n, mBase, seed)
-    val block = spark.range(sSize.toLong * tSize)
+    val block = spark.range(0, sSize.toLong * tSize, 1, Partitions)
       .where(rand(seed + 2) < p)
       .select(
         (col("id") / tSize).cast("long") + 1 as "src",
         (col("id") % tSize) + (n - tSize) + 1 as "dst")
     DigraphOps.canonicalize(bg.unionByName(block))
   }
-
-  /** A directed star: center 0 → k leaves. ρopt = √k (handy oracle). */
-  def star(spark: SparkSession, k: Int): DataFrame =
-    DigraphOps.edgesDf(spark, (1 to k).map(i => (0L, i.toLong)))
-
-  /** Complete bidirected clique on h vertices: ρopt = h−1. */
-  def biClique(spark: SparkSession, h: Int): DataFrame =
-    DigraphOps.edgesDf(spark,
-      for { i <- 0 until h; j <- 0 until h if i != j } yield (i.toLong, j.toLong))
-
-  /** Complete bipartite S×T (all sSize·tSize edges): ρopt = √(sSize·tSize). */
-  def fullBipartite(spark: SparkSession, sSize: Int, tSize: Int): DataFrame =
-    DigraphOps.edgesDf(spark,
-      for { i <- 0 until sSize; j <- 0 until tSize }
-        yield (i.toLong, (sSize + j).toLong))
 
   /** Small fixed digraph with a non-trivial DDS (used across tests). */
   def toy(spark: SparkSession): DataFrame =

@@ -48,28 +48,44 @@ trait CoreEngine {
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle]
 }
 
-/** The cores an engine knows, and the one rule for where its core calls
-  * start: a call at (x,y) peels the smallest, by m, of the caller's warm
-  * handle (if this engine returned it) and the known cores below (x,y),
-  * each of which contains the [x,y]-core (nestedness); failing those, the
-  * whole graph. The known cores are two short lists: ``kept``, the first
-  * 8 cores that reached the driver from a ``Left`` start, for the engine's
-  * life, and ``recent``, the latest 8 cores the engine returned.
+/** The one engine body: where a core call starts, the peel, and the cores
+  * it knows. A concrete engine supplies the whole graph as a pair: its
+  * digraph on the driver (``Right``), or its degrees with its edges in
+  * [[base]] (``Left``). ``n`` and ``fullSub`` come from that pair;
+  * ``localCutoff`` is [[XYCore.peel]]'s.
+  *
+  * A call at (x,y) peels, with [[XYCore.peel]], the smallest, by m, of the
+  * caller's warm handle (if this engine returned it) and the known cores
+  * below (x,y), each of which contains the [x,y]-core (nestedness); failing
+  * those, the whole graph. The known cores are two short lists: ``kept``,
+  * the first 8 cores that reached the driver from a ``Left`` start, for the
+  * engine's life, and ``recent``, the latest 8 cores the engine returned.
   */
-private[core] final class KnownCores(engine: CoreEngine) {
+sealed abstract class PairEngine(localCutoff: Long) extends CoreEngine {
+
+  /** The whole graph as a pair, kept. */
+  protected def whole: PairState
+
+  /** The cached canonical edges a ``Left`` pair's edges are in. */
+  private[core] def base: DataFrame
+
+  // every vertex is a source or a destination
+  lazy val n: Long = whole.fold(_.vertexCount, _.n.toLong)
+
+  // canonical edges have no isolated vertex: the graph is its own [1,1]-core
+  def fullSub(): LocalDigraph = whole.getOrElse(LocalDigraph.fromEdges(base))
+
   private val kept   = mutable.ArrayBuffer.empty[PairCore]
   private val recent = mutable.Queue.empty[PairCore]
 
-  /** The known core a call at (x,y) starts from; None = the whole graph. */
-  def start(x: Int, y: Int, warm: Option[CoreHandle]): Option[PairCore] = {
+  def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
     warm.foreach(w => require(w.x <= x && w.y <= y, s"invalid warm start [${w.x},${w.y}] for [$x,$y]"))
-    val own = warm.collect { case h: PairCore if h.owner eq engine => h }
-    (own ++ kept ++ recent).filter(h => h.x <= x && h.y <= y).minByOption(_.m)
-  }
-
-  /** Records ``h``, a core the engine returns, peeled from ``from``. */
-  def add(h: PairCore, from: PairState): Some[PairCore] = {
-    if (from.isLeft && h.pair.isRight && kept.size < 8) kept += h
+    val own = warm.collect { case h: PairCore if h.owner eq this => h }
+    val from = (own ++ kept ++ recent).filter(h => h.x <= x && h.y <= y).minByOption(_.m).fold(whole)(_.pair)
+    val peeled = XYCore.peel(base, x, y, from, localCutoff)
+    if (peeled.fold(_.m == 0, _.isEmpty)) return None
+    val h = new PairCore(x, y, peeled, this)
+    if (from.isLeft && peeled.isRight && kept.size < 8) kept += h
     recent.enqueue(h)
     if (recent.size > 8) recent.dequeue()
     Some(h)
@@ -79,35 +95,21 @@ private[core] final class KnownCores(engine: CoreEngine) {
 /** The one [[CoreHandle]]: a non-empty core as the [[PairState]] its
   * engine's peel returned (its exact degrees while its edges are still in
   * Spark, its edges once on the driver), with the engine that made it.
-  * ``edges`` fetches the core's edges on the driver.
   */
 final class PairCore private[core] (val x: Int, val y: Int, val pair: PairState,
-                                   private[core] val owner: CoreEngine, edges: => LocalDigraph)
-    extends CoreHandle {
+                                   private[core] val owner: PairEngine) extends CoreHandle {
   def sSize: Long = pair.fold(_.s.length, _.sSize).toLong
   def tSize: Long = pair.fold(_.t.length, _.tSize).toLong
   def m: Long     = pair.fold(_.m, _.m.toLong)
-  def sub(): LocalDigraph = edges
+  def sub(): LocalDigraph = pair.fold(d => LocalDigraph.fromEdges(owner.base, d.s, d.t), identity)
   def candidate(): Candidate = pair.fold(d => Candidate(d.s, d.t, d.m), Candidate.of)
 }
 
-/** Reference engine over a driver-local digraph. */
-final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
-  def n: Long = g.n.toLong
+/** Reference engine over a driver-local digraph: every pair is on the driver. */
+final class LocalCoreEngine(g: LocalDigraph) extends PairEngine(Long.MaxValue) {
   def m: Long = g.m.toLong
-
-  // the whole graph, less isolated vertices, is its own [1,1]-core
-  private lazy val full: LocalDigraph = LocalXYCore.peel(g, 1, 1)
-  def fullSub(): LocalDigraph = full
-
-  private val known = new KnownCores(this)
-
-  def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
-    // this engine's cores are all on the driver
-    val from = known.start(x, y, warm).flatMap(_.pair.toOption).getOrElse(g)
-    val core = LocalXYCore.peel(from, x, y)
-    if (core.isEmpty) None else known.add(new PairCore(x, y, Right(core), this, core), Right(from))
-  }
+  protected val whole: PairState = Right(g)
+  private[core] def base: DataFrame = throw new IllegalStateException("a LocalCoreEngine has no Spark edges")
 }
 
 /** Production engine: Spark iterative peeling over cached edges.
@@ -116,23 +118,19 @@ final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
   * edges reaches the driver once, as a ``LocalDigraph``: a later call at
   * an (x,y) dominating its own has its answer inside it (nestedness), and
   * is peeled there without a Spark job. A graph within the cutoff is its
-  * own [1,1]-core, collected once at the first use of ``n``, ``fullSub`` or
-  * ``core``, and kept. Above the cutoff, the degrees ``n`` reads are kept.
+  * own [1,1]-core, collected once as the whole pair. Above the cutoff, the
+  * whole pair is the degrees ``n`` reads, kept.
   *
-  * A call peels, with [[XYCore.peel]], the core [[KnownCores]] picks, else
-  * the whole graph (its digraph within the cutoff, its degrees above). A
-  * core that reached its fixpoint in Spark has more edges than the cutoff,
-  * so any driver core is smaller and is picked first. No call scans the
-  * edges for degrees the driver already holds.
+  * A core that reached its fixpoint in Spark has more edges than the
+  * cutoff, so any driver core is smaller and is picked first. No call scans
+  * the edges for degrees the driver already holds.
   */
-final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) extends CoreEngine {
+final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) extends PairEngine(localCutoff) {
   /** Canonicalized, cached base edge set all cores derive from. */
   val base: DataFrame = DigraphOps.canonicalize(edges0).cache()
 
   /** Edge count; this first action also fills the cache of ``base``. */
   lazy val m: Long = base.count()
-
-  private lazy val whole: Option[LocalDigraph] = Option.when(m <= localCutoff)(LocalDigraph.fromEdges(base))
 
   /** Every source and destination of ``base`` with its degree: one
     * [[EdgeScan.allDegrees]] pass, run at the first read (``n`` reads it
@@ -141,21 +139,8 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
     */
   lazy val allDegrees: PairDegrees = EdgeScan.allDegrees(base)
 
-  // every vertex is a source or a destination
-  lazy val n: Long = whole.fold(allDegrees.vertexCount)(_.n.toLong)
-
-  // canonical edges have no isolated vertex: the graph is its own [1,1]-core
-  def fullSub(): LocalDigraph = whole.getOrElse(LocalDigraph.fromEdges(base))
-
-  private val known = new KnownCores(this)
-
-  def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
-    val from = known.start(x, y, warm).fold(whole.toRight(allDegrees))(_.pair)
-    val peeled = XYCore.peel(base, x, y, from, localCutoff)
-    if (peeled.fold(_.m == 0, _.isEmpty)) None
-    else known.add(new PairCore(x, y, peeled, this,
-                                peeled.fold(d => LocalDigraph.fromEdges(base, d.s, d.t), identity)), from)
-  }
+  protected lazy val whole: PairState =
+    if (m <= localCutoff) Right(LocalDigraph.fromEdges(base)) else Left(allDegrees)
 
   def release(): Unit = { base.unpersist(); () }
 }

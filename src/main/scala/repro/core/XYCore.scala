@@ -26,7 +26,7 @@ object XYCore {
     * y' ≤ y (by nestedness; the caller checks that). A Right pair is peeled
     * on the driver and stays there. A Left pair holds the exact degrees of
     * E(S,T), whose edges are in ``base`` (cached canonical edges, columns
-    * src/dst).
+    * src/dst; read only for a Left pair).
     *
     * ``localCutoff``: once the survivors' edge count of a Left pair is
     * known to be within this size, the remaining pair-subgraph is collected
@@ -43,7 +43,7 @@ object XYCore {
     * empty core is ``Left(PairDegrees.empty)``, or an empty digraph when the
     * driver finished it.
     */
-  def peel(base: DataFrame, x: Int, y: Int, from: PairState, localCutoff: Long = 0L): PairState = {
+  def peel(base: => DataFrame, x: Int, y: Int, from: PairState, localCutoff: Long = 0L): PairState = {
     require(x >= 1 && y >= 1, s"need x,y >= 1, got [$x,$y]")
 
     // Each round's survivors are a subset of its alive sets, so a round

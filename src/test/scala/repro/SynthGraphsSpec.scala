@@ -1,5 +1,6 @@
 package repro
 
+import repro.bench.Datasets
 import repro.graph.DigraphOps
 
 /** Synthetic generators: determinism, shape, and oracle cross-checks. */
@@ -67,10 +68,11 @@ class SynthGraphsSpec extends SparkSpec {
       SynthGraphs.planted(spark, 10, 10, 8, 8, 0.5))
   }
 
-  test("star and biClique shapes") {
-    assert(SynthGraphs.star(spark, 7).count() === 7)
-    assert(SynthGraphs.biClique(spark, 4).count() === 12)
-    assert(SynthGraphs.fullBipartite(spark, 3, 5).count() === 15)
+  // Table 2's values, which a 4-core host produced; the draws do not depend
+  // on the session's parallelism, so every host must reproduce them
+  test("Table 2's PL-S and ER-S have the same edge count at any session parallelism") {
+    assert(Datasets.plS.build(spark).count() === 17679)
+    assert(Datasets.erS.build(spark).count() === 2253)
   }
 
   test("toy graph drops its self-loop on canonicalization") {

@@ -3,6 +3,8 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{array, col, count, explode, lit, struct}
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.approx.CoreApprox
+import repro.exact.DDSExact
 import repro.SparkSpec.jobShapes
 import repro.graph.{DigraphOps, EdgeScan, LocalDigraph, PairDegrees}
 import scala.util.Random
@@ -386,6 +388,32 @@ class XYCoreSparkSpec extends SparkSpec {
       assert(first eq second)
       assert(first.m.toLong === engine.m)
     } finally engine.release()
+  }
+
+  test("within the cutoff, CoreApprox and CoreExact run no job after n and answer as the local engine does") {
+    val pairs = TestGraphs.skewedPairs(200, 1500, seed = 48)
+    val g = LocalDigraph.fromPairs(pairs)
+    /** ``run`` on a fresh Spark engine within its cutoff, after its set-up. */
+    def onSpark[A](run: CoreEngine => A): A = {
+      val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs))
+      try {
+        engine.n
+        var a: Option[A] = None
+        assert(jobShapes { a = Some(run(engine)) } === Seq())
+        a.get
+      } finally engine.release()
+    }
+    def same(a: Candidate, b: Candidate): Boolean = a.s.toSeq == b.s.toSeq && a.t.toSeq == b.t.toSeq && a.m == b.m
+
+    val (sa, la) = (onSpark(CoreApprox.run), CoreApprox.run(new LocalCoreEngine(g)))
+    assert((sa.x, sa.y) === ((la.x, la.y)))
+    assert(same(sa.candidate, la.candidate))
+    assert(sa.result === la.result)
+
+    val (se, le) = (onSpark(DDSExact.run(_)), DDSExact.run(new LocalCoreEngine(g)))
+    assert(se.probes > 0 && se.flows > 0)
+    assert(same(se.best, le.best))
+    assert((se.probes, se.flows, se.flowNodes, se.maxXY, se.dnf) === ((le.probes, le.flows, le.flowNodes, le.maxXY, le.dnf)))
   }
 
   test("fullSub above the cutoff has the input's edges, without self-loops or duplicates") {
