@@ -14,12 +14,12 @@ final case class ApproxResult(density: Double, sSize: Long, tSize: Long, budgetH
   */
 object CoreApprox {
 
-  final case class Detail(result: ApproxResult, x: Int, y: Int, candidate: Candidate)
+  final case class Detail(x: Int, y: Int, candidate: Candidate) {
+    def result: ApproxResult = ApproxResult(candidate.density, candidate.sSize.toLong, candidate.tSize.toLong)
+  }
 
   def run(engine: CoreEngine): Detail = MaxCore.maxXY(engine) match {
-    case None => Detail(ApproxResult(0.0, 0, 0), 0, 0, Candidate.empty)
-    case Some(mx) =>
-      val c = mx.candidate()
-      Detail(ApproxResult(c.density, c.sSize.toLong, c.tSize.toLong), mx.x, mx.y, c)
+    case None     => Detail(0, 0, Candidate.empty)
+    case Some(mx) => Detail(mx.x, mx.y, mx.candidate())
   }
 }

@@ -53,11 +53,11 @@ object DDSExact {
 
   final case class Result(best: Candidate,
                           probes: Int,
-                          flows: Int,
                           flowNodes: Vector[Int],
                           dnf: Boolean,
                           maxXY: Option[(Int, Int)]) {
     def density: Double = best.density
+    def flows: Int = flowNodes.size
   }
 
   /** A probe at ratio p/q whose surrogate argmax has level e/d, with
@@ -126,10 +126,9 @@ object DDSExact {
 
   def run(engine: CoreEngine, cfg: Config = Config()): Result = {
     val start = System.nanoTime()
-    if (engine.m == 0) return Result(Candidate.empty, 0, 0, Vector.empty, dnf = false, None)
+    if (engine.m == 0) return Result(Candidate.empty, 0, Vector.empty, dnf = false, None)
 
     var probes = 0
-    var flows = 0
     val flowNodes = Vector.newBuilder[Int]
 
     // ---- seed: CoreExact's max-x·y core (ρ ≥ ρopt/2), else one edge (ρ = 1) ----
@@ -166,7 +165,6 @@ object DDSExact {
             }
           case _ => full
         }
-        flows += 1
         flowNodes += DensityFlow.networkNodes(sub)
         DensityFlow.bestAbove(sub, e, d, p, q) match {
           case None => return cand
@@ -184,6 +182,6 @@ object DDSExact {
       argmaxes.getOrElseUpdate((c.m, c.sSize, c.tSize), c)
       if (cfg.mode == Mode.Baseline) None else Some(Probe(p, q, c.m, q * c.sSize + p * c.tSize))
     }
-    Result(best, probes, flows, flowNodes.result(), dnf = !done, seed.map(mx => (mx.x, mx.y)))
+    Result(best, probes, flowNodes.result(), dnf = !done, seed.map(mx => (mx.x, mx.y)))
   }
 }

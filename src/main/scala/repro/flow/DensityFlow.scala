@@ -37,7 +37,7 @@ object DensityFlow {
     val (dinic, flow) = solve(sub, sIdx, tIdx, e, d, p, q)
     val gain = d * sub.m - flow // ``solve`` checked d·m
     if (gain == 0) return None // min-cut == d·m: nothing above e/d
-    val side = dinic.minCutSourceSide(Source)
+    val side = dinic.sourceSide()
 
     val tBase = 2 + sub.sSize
     val inS = new Array[Boolean](sub.n)
@@ -57,15 +57,8 @@ object DensityFlow {
     Some(cand)
   }
 
-  /** Max-flow value of the (e, d, p, q) network over ``sub``: d·m minus the
-    * objective's maximum.
-    */
-  private[flow] def maxflow(sub: LocalDigraph, e: Long, d: Long, p: Long, q: Long): Long =
-    if (sub.isEmpty) 0L
-    else solve(sub, number(sub.hasOut), number(sub.hasIn), e, d, p, q)._2
-
   /** The max flow of the network for level e/d at ratio p/q over ``sub``,
-    * with S and T numbered by ``sIdx`` and ``tIdx``: the solved ``Dinic``,
+    * with S and T numbered by ``sIdx`` and ``tIdx``: the ``Dinic``,
     * whose residual graph gives the minimal min-cut side, and the flow's
     * value in the network of the object comment.
     *
@@ -97,16 +90,22 @@ object DensityFlow {
     // capacity left on s→α_u after the fold, then after the greedy flow
     val sourceLeft = new Array[Long](ns)
     var folded = 0L
+    var kept = 0 // s→α_u arcs left after the fold
     var i = 0
     while (i < ns) {
       val a = d * outDeg(i)
       folded += math.min(a, sCost)
       sourceLeft(i) = math.max(a - sCost, 0L)
+      if (a > sCost) kept += 1
       i += 1
     }
     val sinkLeft = Array.fill(nt)(tCost) // capacity left on β_v→t
 
-    val dinic = new Dinic(tBase + nt, sub.m + ns + nt)
+    val arcs = sub.m + kept + nt
+    val tail = new Array[Int](arcs)
+    val head = new Array[Int](arcs)
+    val cap  = new Array[Long](arcs)
+    val flow = new Array[Long](arcs)
     k = 0
     while (k < sub.m) {
       val u = sIdx(sub.src(k))
@@ -114,18 +113,23 @@ object DensityFlow {
       val f = math.min(math.min(sourceLeft(u), d), sinkLeft(v))
       sourceLeft(u) -= f
       sinkLeft(v) -= f
-      dinic.addEdge(2 + u, tBase + v, d, f)
+      tail(k) = 2 + u; head(k) = tBase + v; cap(k) = d; flow(k) = f
       k += 1
     }
     i = 0
     while (i < ns) {
       val a = d * outDeg(i)
-      if (a > sCost) dinic.addEdge(Source, 2 + i, a - sCost, a - sCost - sourceLeft(i))
+      if (a > sCost) {
+        tail(k) = Source; head(k) = 2 + i; cap(k) = a - sCost; flow(k) = a - sCost - sourceLeft(i); k += 1
+      }
       i += 1
     }
     var j = 0
-    while (j < nt) { dinic.addEdge(tBase + j, Sink, tCost, tCost - sinkLeft(j)); j += 1 }
-    (dinic, folded + dinic.maxflow(Source, Sink))
+    while (j < nt) {
+      tail(k) = tBase + j; head(k) = Sink; cap(k) = tCost; flow(k) = tCost - sinkLeft(j); k += 1; j += 1
+    }
+    val dinic = new Dinic(tBase + nt, Source, Sink, tail, head, cap, flow)
+    (dinic, folded + dinic.value)
   }
 
   /** Numbers the masked vertices 0, 1, ... in index order; -1 for the rest. */

@@ -9,60 +9,34 @@ package repro.flow
   * flows and cuts are exact; the caller bounds the total capacity below
   * 2⁶³.
   *
-  * An edge may be added with a flow already on it; ``maxflow`` then starts
-  * from that flow, which must be feasible (conserved at every vertex but s
-  * and t), and returns the value of a maximum flow, the preloaded part
-  * included.
-  *
-  * Edges are recorded in flat primitive arrays sized by ``edgeHint``, the
-  * number of ``addEdge`` calls the caller expects (they grow only past
-  * it). ``maxflow`` lays the residual arcs out once in CSR (compressed
-  * sparse row) order, grouped by tail, each arc with the index of its
-  * reverse, and works on them in place.
+  * The network is given whole: edge i runs ``eTail(i)``→``eHead(i)`` with
+  * capacity ``eCap(i)`` and already carries ``eFlow(i)`` (0 ≤ flow ≤ cap),
+  * a flow that must be conserved at every vertex but s and t. The
+  * constructor lays the residual arcs out once in CSR (compressed sparse
+  * row) order, grouped by tail, each arc with the index of its reverse,
+  * and solves the max flow in place from the preloaded flow.
   */
-final class Dinic(val n: Int, edgeHint: Int = 16) {
-  private var edges = 0                                    // edges added
-  private var eTail = new Array[Int](math.max(edgeHint, 1))
-  private var eHead = new Array[Int](eTail.length)
-  private var eCap  = new Array[Long](eTail.length)        // residual capacity tail→head
-  private var eFlow = new Array[Long](eTail.length)        // flow on the edge = residual head→tail
+final class Dinic(val n: Int, s: Int, t: Int,
+                  eTail: Array[Int], eHead: Array[Int], eCap: Array[Long], eFlow: Array[Long]) {
+  private val edges = eTail.length
+  require(eHead.length == edges && eCap.length == edges && eFlow.length == edges,
+          "edge arrays differ in length")
 
-  // residual arcs in CSR order, built by ``maxflow``: arcs of u are off(u) until off(u+1)
-  private val off = new Array[Int](n + 1)
-  private var head: Array[Int] = _                         // arc -> head vertex
-  private var cap: Array[Long] = _                         // arc -> residual capacity
-  private var rev: Array[Int] = _                          // arc -> its reverse arc
-  private var solved = false
-
-  /** Add a directed edge u→v with capacity c that already carries ``flow``
-    * (0 ≤ flow ≤ c): residual c − flow forward and ``flow`` backward.
-    */
-  def addEdge(u: Int, v: Int, c: Long, flow: Long = 0L): Unit = {
-    require(c >= 0, s"negative capacity $c")
-    require(flow >= 0 && flow <= c, s"flow $flow outside [0, $c]")
-    require(!solved, "maxflow already called on this network")
-    if (edges == eTail.length) {
-      val len = 2 * edges
-      eTail = java.util.Arrays.copyOf(eTail, len)
-      eHead = java.util.Arrays.copyOf(eHead, len)
-      eCap = java.util.Arrays.copyOf(eCap, len)
-      eFlow = java.util.Arrays.copyOf(eFlow, len)
-    }
-    eTail(edges) = u; eHead(edges) = v; eCap(edges) = c - flow; eFlow(edges) = flow
-    edges += 1
-  }
+  // residual arcs in CSR order: arcs of u are off(u) until off(u+1)
+  private val off  = new Array[Int](n + 1)
+  private val head = new Array[Int](2 * edges)             // arc -> head vertex
+  private val cap  = new Array[Long](2 * edges)            // arc -> residual capacity
+  private val rev  = new Array[Int](2 * edges)             // arc -> its reverse arc
 
   /** Lays each edge out as two residual arcs grouped by tail, and returns
     * the preloaded flow's value out of s after checking it is conserved.
     */
-  private def layout(s: Int, t: Int): Long = {
-    val arcs = 2 * edges
-    head = new Array[Int](arcs)
-    cap = new Array[Long](arcs)
-    rev = new Array[Int](arcs)
+  private def layout(): Long = {
     val excess = new Array[Long](n)
     var e = 0
     while (e < edges) {
+      require(eCap(e) >= 0, s"negative capacity ${eCap(e)}")
+      require(eFlow(e) >= 0 && eFlow(e) <= eCap(e), s"flow ${eFlow(e)} outside [0, ${eCap(e)}]")
       off(eTail(e) + 1) += 1; off(eHead(e) + 1) += 1
       excess(eTail(e)) -= eFlow(e); excess(eHead(e)) += eFlow(e)
       e += 1
@@ -77,11 +51,10 @@ final class Dinic(val n: Int, edgeHint: Int = 16) {
     while (e < edges) {
       val a = next(eTail(e)); next(eTail(e)) += 1
       val b = next(eHead(e)); next(eHead(e)) += 1
-      head(a) = eHead(e); cap(a) = eCap(e); rev(a) = b
+      head(a) = eHead(e); cap(a) = eCap(e) - eFlow(e); rev(a) = b
       head(b) = eTail(e); cap(b) = eFlow(e); rev(b) = a
       e += 1
     }
-    eTail = null; eHead = null; eCap = null; eFlow = null
     -excess(s)
   }
 
@@ -94,7 +67,7 @@ final class Dinic(val n: Int, edgeHint: Int = 16) {
     * A DFS that steps only to a vertex one level closer to t then enters no
     * vertex that cannot reach t.
     */
-  private def bfs(s: Int, t: Int): Boolean = {
+  private def bfs(): Boolean = {
     java.util.Arrays.fill(level, -1)
     var qh = 0; var qt = 0
     queue(qt) = t; qt += 1; level(t) = 0
@@ -124,7 +97,7 @@ final class Dinic(val n: Int, edgeHint: Int = 16) {
     * order, as a recursive DFS would. Iterative, so a level graph as deep as
     * the network cannot overflow the call stack.
     */
-  private def dfs(s: Int, t: Int, pushed: Long): Long = {
+  private def dfs(pushed: Long): Long = {
     var top = 0
     stNode(0) = s; stRem(0) = pushed; stRes(0) = 0
     while (true) {
@@ -157,30 +130,27 @@ final class Dinic(val n: Int, edgeHint: Int = 16) {
     sys.error("unreachable")
   }
 
-  /** Compute the max flow from s to t, starting from the edges' initial
-    * flow. Call at most once: the flow is routed in place, so the arcs keep
-    * only their residual capacities.
+  /** The max flow's value from s to t, the preloaded flow included. The
+    * flow is routed in place, so the arcs keep only their residual
+    * capacities.
     */
-  def maxflow(s: Int, t: Int): Long = {
-    require(!solved, "maxflow already called on this network")
-    solved = true
-    var total = layout(s, t)
-    while (bfs(s, t)) {
+  val value: Long = {
+    var total = layout()
+    while (bfs()) {
       System.arraycopy(off, 0, it, 0, n)
-      var f = dfs(s, t, Long.MaxValue)
+      var f = dfs(Long.MaxValue)
       while (f > 0) {
         total += f
-        f = dfs(s, t, Long.MaxValue)
+        f = dfs(Long.MaxValue)
       }
     }
     total
   }
 
   /** Vertices reachable from s in the residual graph — the minimal min-cut
-    * source side. Valid only after ``maxflow``.
+    * source side.
     */
-  def minCutSourceSide(s: Int): Array[Boolean] = {
-    require(solved, "minCutSourceSide needs maxflow first")
+  def sourceSide(): Array[Boolean] = {
     val seen = new Array[Boolean](n)
     var qh = 0; var qt = 0
     queue(qt) = s; qt += 1; seen(s) = true

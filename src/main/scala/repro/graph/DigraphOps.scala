@@ -4,8 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 
 /** Summary statistics of a directed graph (Table-2-style row). */
-final case class GraphStats(n: Long, m: Long, nSrc: Long, nDst: Long,
-                            maxOutDeg: Long, maxInDeg: Long)
+final case class GraphStats(n: Long, m: Long, maxOutDeg: Long, maxInDeg: Long)
 
 /** DataFrame operations over simple directed graphs.
   *
@@ -31,8 +30,7 @@ object DigraphOps {
     * [[EdgeScan.allDegrees]] pass, or the one a ``SparkCoreEngine`` keeps).
     */
   def stats(d: PairDegrees): GraphStats =
-    GraphStats(d.vertexCount, d.m, d.s.length.toLong, d.t.length.toLong,
-               d.out.maxOption.getOrElse(0).toLong, d.in.maxOption.getOrElse(0).toLong)
+    GraphStats(d.vertexCount, d.m, d.out.maxOption.getOrElse(0).toLong, d.in.maxOption.getOrElse(0).toLong)
 
   /** Build an edge DataFrame from in-memory pairs (tests, toy graphs). */
   def edgesDf(spark: SparkSession, pairs: Seq[(Long, Long)]): DataFrame = {

@@ -44,7 +44,6 @@ class DensityFlowSpec extends AnyFunSuite {
     val g = LocalDigraph.fromPairs(Seq((1L, 2L), (1L, 3L), (2L, 3L)))
     // d·m = 3·(2⁶³/2) overflows
     intercept[ArithmeticException](DensityFlow.bestAbove(g, 1, Long.MaxValue / 2, 1, 1))
-    intercept[ArithmeticException](DensityFlow.maxflow(g, 1, Long.MaxValue / 2, 1, 1))
     intercept[ArithmeticException](DensityFlow.bestAbove(g, Long.MaxValue / 2, 1, 3, 1))
   }
 
@@ -66,8 +65,9 @@ class DensityFlowSpec extends AnyFunSuite {
       val (oe, od) = BruteForce.surrogateLevel(g, p, q)
       // the levels 0, ½·opt, 0.9·opt, opt and 1.5·opt + ½
       for ((e, d) <- Seq((0L, 1L), (oe, 2 * od), (9 * oe, 10 * od), (oe, od), (3 * oe + od, 2 * od))) {
-        val expected = bruteObjectiveMax(g, e, d, p, q)
-        assert(d * g.m - DensityFlow.maxflow(g, e, d, p, q) === expected, s"level $e/$d")
+        // ``bestAbove`` throws unless its pair's gain is d·m − max-flow
+        val gain = DensityFlow.bestAbove(g, e, d, p, q).fold(0L)(c => d * c.m - e * (q * c.sSize + p * c.tSize))
+        assert(gain === bruteObjectiveMax(g, e, d, p, q), s"level $e/$d")
       }
     }
   }
@@ -123,14 +123,14 @@ class DensityFlowSpec extends AnyFunSuite {
     val tV = (0 until g.n).filter(g.inDeg(_) > 0)
     val alpha = sV.zipWithIndex.map { case (u, i) => u -> (2 + i) }.toMap
     val beta = tV.zipWithIndex.map { case (v, j) => v -> (2 + sV.size + j) }.toMap
-    val dinic = new Dinic(2 + sV.size + tV.size)
-    for (u <- sV) { dinic.addEdge(0, alpha(u), d * g.outDeg(u)); dinic.addEdge(alpha(u), 1, e * q) }
-    for (v <- tV) dinic.addEdge(beta(v), 1, e * p)
-    for (k <- 0 until g.m) dinic.addEdge(alpha(g.src(k)), beta(g.dst(k)), d)
-    val gain = d * g.m - dinic.maxflow(0, 1)
+    val edges = sV.flatMap(u => Seq((0, alpha(u), d * g.outDeg(u)), (alpha(u), 1, e * q))) ++
+      tV.map(v => (beta(v), 1, e * p)) ++ (0 until g.m).map(k => (alpha(g.src(k)), beta(g.dst(k)), d))
+    val dinic = new Dinic(2 + sV.size + tV.size, 0, 1, edges.map(_._1).toArray, edges.map(_._2).toArray,
+                          edges.map(_._3).toArray, new Array[Long](edges.size))
+    val gain = d * g.m - dinic.value
     if (gain == 0) None
     else {
-      val side = dinic.minCutSourceSide(0)
+      val side = dinic.sourceSide()
       val inS = (0 until g.n).map(u => alpha.get(u).exists(side(_))).toArray
       val inT = (0 until g.n).map(v => beta.get(v).exists(side(_))).toArray
       Some((Candidate(g.idsOf(inS), g.idsOf(inT), g.edgesBetween(inS, inT)), gain))

@@ -25,11 +25,14 @@ class DinicSpec extends AnyFunSuite {
     best
   }
 
-  private def solve(n: Int, edges: Seq[(Int, Int, Long)], s: Int, t: Int): Long = {
-    val d = new Dinic(n)
-    edges.foreach { case (u, v, c) => d.addEdge(u, v, c) }
-    d.maxflow(s, t)
-  }
+  /** The solved network of ``edges`` (tail, head, capacity), edge i
+    * preloaded with ``flow(i)`` (0 past the end of ``flow``).
+    */
+  private def network(n: Int, s: Int, t: Int, edges: Seq[(Int, Int, Long)], flow: Seq[Long] = Nil): Dinic =
+    new Dinic(n, s, t, edges.map(_._1).toArray, edges.map(_._2).toArray, edges.map(_._3).toArray,
+              flow.padTo(edges.size, 0L).toArray)
+
+  private def solve(n: Int, edges: Seq[(Int, Int, Long)], s: Int, t: Int): Long = network(n, s, t, edges).value
 
   test("single edge") {
     assert(solve(2, Seq((0, 1, 7L)), 0, 1) === 7L) // 3.5, scaled ×2
@@ -59,20 +62,11 @@ class DinicSpec extends AnyFunSuite {
       // path 0 → 1 → … → k−1: capacity 9 except one 0.5 arc in the middle,
       // scaled ×2; the level graph is k levels deep
       val mid = (k - 1) / 2
-      val d = new Dinic(k)
-      for (i <- 0 until k - 1) d.addEdge(i, i + 1, if (i == mid) 1L else 18L)
-      assert(d.maxflow(0, k - 1) === 1L)
-      val side = d.minCutSourceSide(0)
+      val d = network(k, 0, k - 1, (0 until k - 1).map(i => (i, i + 1, if (i == mid) 1L else 18L)))
+      assert(d.value === 1L)
+      val side = d.sourceSide()
       assert((0 until k).forall(v => side(v) == (v <= mid)))
     }
-
-  test("a second maxflow call is rejected") {
-    val d = new Dinic(3)
-    d.addEdge(0, 1, 2L)
-    d.addEdge(1, 2, 1L)
-    assert(d.maxflow(0, 2) === 1L)
-    intercept[IllegalArgumentException](d.maxflow(0, 2))
-  }
 
   test("anti-parallel edges") {
     val e = Seq((0, 1, 3L), (1, 0, 2L), (1, 2, 3L))
@@ -110,10 +104,9 @@ class DinicSpec extends AnyFunSuite {
         if (v == u) v = (v + 1) % n
         (u, v, (rnd.nextInt(8) + 1).toLong)
       }
-      val d = new Dinic(n)
-      edges.foreach { case (u, v, c) => d.addEdge(u, v, c) }
-      val flow = d.maxflow(s, t)
-      val side = d.minCutSourceSide(s)
+      val d = network(n, s, t, edges)
+      val flow = d.value
+      val side = d.sourceSide()
       assert(side(s) && !side(t))
       val cutCap = edges.collect { case (u, v, c) if side(u) && !side(v) => c }.sum
       assert(cutCap === flow)
@@ -155,27 +148,29 @@ class DinicSpec extends AnyFunSuite {
       val edges = rnd.shuffle(chain ++ extra).toIndexedSeq
       val flow = pathFlows(rnd, n, edges, s, t, paths = 1 + rnd.nextInt(4))
       assert(flow.exists(_ > 0))
-      val d = new Dinic(n)
-      edges.indices.foreach { i => val (u, v, c) = edges(i); d.addEdge(u, v, c, flow(i)) }
-      val max = d.maxflow(s, t)
+      val d = network(n, s, t, edges, flow.toSeq)
+      val max = d.value
       assert(max === bruteMinCut(n, edges, s, t), s"edges=$edges flow=${flow.toSeq}")
-      val side = d.minCutSourceSide(s)
+      val side = d.sourceSide()
       assert(side(s) && !side(t))
       assert(edges.collect { case (u, v, c) if side(u) && !side(v) => c }.sum === max)
     }
 
   test("an edge's initial flow must lie in [0, capacity] and be conserved") {
-    val d = new Dinic(3)
-    intercept[IllegalArgumentException](d.addEdge(0, 1, 5L, -1L))
-    intercept[IllegalArgumentException](d.addEdge(0, 1, 5L, 6L))
-    d.addEdge(0, 1, 5L, 5L)
-    d.addEdge(1, 2, 5L, 5L)
-    assert(d.maxflow(0, 2) === 5L)
+    val chain = Seq((0, 1, 5L), (1, 2, 5L))
+    intercept[IllegalArgumentException](network(3, 0, 2, chain, Seq(-1L)))
+    intercept[IllegalArgumentException](network(3, 0, 2, chain, Seq(6L)))
+    intercept[IllegalArgumentException](network(3, 0, 2, Seq((0, 1, -1L), (1, 2, 5L))))
+    assert(network(3, 0, 2, chain, Seq(5L, 5L)).value === 5L)
     // 3 units into vertex 1, none out of it
-    val leaky = new Dinic(3)
-    leaky.addEdge(0, 1, 5L, 3L)
-    leaky.addEdge(1, 2, 5L)
-    intercept[IllegalArgumentException](leaky.maxflow(0, 2))
+    intercept[IllegalArgumentException](network(3, 0, 2, chain, Seq(3L)))
+    // one array per edge field, all of one length
+    intercept[IllegalArgumentException](new Dinic(3, 0, 2, Array(0, 1), Array(1, 2), Array(5L), Array(0L, 0L)))
+    intercept[IllegalArgumentException](new Dinic(3, 0, 2, Array(0, 1), Array(1), Array(5L, 5L), Array(0L, 0L)))
+    // no edges: no flow, and s reaches only itself
+    val empty = network(3, 0, 2, Nil)
+    assert(empty.value === 0L)
+    assert(empty.sourceSide().toSeq === Seq(true, false, false))
   }
 
   test("fractional capacities") {
@@ -187,12 +182,7 @@ class DinicSpec extends AnyFunSuite {
   test("large-ish layered network runs fast and exactly") {
     // k parallel 3-hop paths: flow = k
     val k = 500
-    val d = new Dinic(2 + 2 * k)
-    for (i <- 0 until k) {
-      d.addEdge(0, 2 + i, 1L)
-      d.addEdge(2 + i, 2 + k + i, 1L)
-      d.addEdge(2 + k + i, 1, 1L)
-    }
-    assert(d.maxflow(0, 1) === k.toLong)
+    val edges = (0 until k).flatMap(i => Seq((0, 2 + i, 1L), (2 + i, 2 + k + i, 1L), (2 + k + i, 1, 1L)))
+    assert(solve(2 + 2 * k, edges, 0, 1) === k.toLong)
   }
 }
