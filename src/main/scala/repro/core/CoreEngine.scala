@@ -41,9 +41,11 @@ trait CoreEngine {
   def fullSub(): LocalDigraph
 
   /** The [x,y]-core, None if empty. The engine picks the known core the
-    * call starts from; ``warm`` (warm.x ≤ x and warm.y ≤ y, checked) is for
-    * a core the engine may have forgotten, and counts only if this engine
-    * returned it: any other handle is ignored.
+    * call starts from, among the cores it returned and still holds (up to
+    * a budget of 8·m, least recently used dropped first); ``warm`` (warm.x
+    * ≤ x and warm.y ≤ y, checked) is for a core the engine may have
+    * dropped, and counts only if this engine returned it: any other handle
+    * is ignored.
     */
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle]
 }
@@ -57,9 +59,12 @@ trait CoreEngine {
   * A call at (x,y) peels, with [[XYCore.peel]], the smallest, by m, of the
   * caller's warm handle (if this engine returned it) and the known cores
   * below (x,y), each of which contains the [x,y]-core (nestedness); failing
-  * those, the whole graph. The known cores are two short lists: ``kept``,
-  * the first 8 cores that reached the driver from a ``Left`` start, for the
-  * engine's life, and ``recent``, the latest 8 cores the engine returned.
+  * those, the whole graph. The known cores are one list, least recently
+  * used first: the core a call starts from moves to the back, and the core
+  * it returns joins behind it. Once the cores hold more than 8·m (see
+  * [[held]]), the list drops cores from the front. Use order, not return
+  * order: a Dinkelbach step's core mostly lies inside a core the max-x·y
+  * seed made many calls earlier, which serves step after step as a start.
   */
 sealed abstract class PairEngine(localCutoff: Long) extends CoreEngine {
 
@@ -75,21 +80,54 @@ sealed abstract class PairEngine(localCutoff: Long) extends CoreEngine {
   // canonical edges have no isolated vertex: the graph is its own [1,1]-core
   def fullSub(): LocalDigraph = whole.getOrElse(LocalDigraph.fromEdges(base))
 
-  private val kept   = mutable.ArrayBuffer.empty[PairCore]
-  private val recent = mutable.Queue.empty[PairCore]
+  /** The known cores, least recently used first. */
+  private val known = mutable.ArrayBuffer.empty[PairCore]
+  private var heldSize = 0L
+
+  /** What the known cores hold, as a running sum: a driver digraph counts
+    * its edges and Spark-side degrees their |S|+|T| ids, once per digraph
+    * or degrees object however many known cores share it (by ``eq``).
+    */
+  private[core] def held: Long = heldSize
 
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
     warm.foreach(w => require(w.x <= x && w.y <= y, s"invalid warm start [${w.x},${w.y}] for [$x,$y]"))
     val own = warm.collect { case h: PairCore if h.owner eq this => h }
-    val from = (own ++ kept ++ recent).filter(h => h.x <= x && h.y <= y).minByOption(_.m).fold(whole)(_.pair)
-    val peeled = XYCore.peel(base, x, y, from, localCutoff)
+    // on a tie a known core goes first, so a warm handle as large as it does not join too
+    val start = (known.iterator ++ own).filter(h => h.x <= x && h.y <= y).minByOption(_.m)
+    start.foreach(remember)
+    val peeled = XYCore.peel(base, x, y, start.fold(whole)(_.pair), localCutoff)
     if (peeled.fold(_.m == 0, _.isEmpty)) return None
     val h = new PairCore(x, y, peeled, this)
-    if (from.isLeft && peeled.isRight && kept.size < 8) kept += h
-    recent.enqueue(h)
-    if (recent.size > 8) recent.dequeue()
+    // a peel that removed no edge returns its start's core, which the
+    // start, below (x,y) and now at the back, already stands for
+    if (!start.exists(_.m == h.m)) remember(h)
     Some(h)
   }
+
+  /** Moves ``h`` to the back of the known cores (it joins them if it is not
+    * known), then drops cores from the front while they hold more than
+    * 8·m. A core holds at most 2·m, so ``h`` stays.
+    */
+  private def remember(h: PairCore): Unit = {
+    def shared(c: PairCore) = known.exists(_.body eq c.body)
+    val i = known.indexOf(h)
+    if (i >= 0) known.remove(i) else if (!shared(h)) heldSize += h.size
+    known += h
+    while (heldSize > PairEngine.HeldPerEdge * m) {
+      val dropped = known.remove(0)
+      if (!shared(dropped)) heldSize -= dropped.size
+    }
+  }
+}
+
+object PairEngine {
+
+  /** The known cores' budget, in held edges per edge of the whole graph.
+    * On CoreExact's benchmark graph, keeping every core held 17.7·m; 2·m
+    * and 4·m kept little of its gain, 8·m kept all of it at half the heap.
+    */
+  private val HeldPerEdge = 8L
 }
 
 /** The one [[CoreHandle]]: a non-empty core as the [[PairState]] its
@@ -103,6 +141,12 @@ final class PairCore private[core] (val x: Int, val y: Int, val pair: PairState,
   def m: Long     = pair.fold(_.m, _.m.toLong)
   def sub(): LocalDigraph = pair.fold(d => LocalDigraph.fromEdges(owner.base, d.s, d.t), identity)
   def candidate(): Candidate = pair.fold(d => Candidate(d.s, d.t, d.m), Candidate.of)
+
+  /** The digraph or the degrees this core holds, for identity checks. */
+  private[core] def body: AnyRef = pair.fold(identity, identity)
+
+  /** What this core holds: its edges on the driver, its |S|+|T| ids in Spark. */
+  private[core] def size: Long = pair.fold(d => d.s.length.toLong + d.t.length, _.m.toLong)
 }
 
 /** Reference engine over a driver-local digraph: every pair is on the driver. */

@@ -7,9 +7,13 @@ import repro.approx.CoreApprox
 import repro.exact.DDSExact
 import repro.SparkSpec.jobShapes
 import repro.graph.{DigraphOps, EdgeScan, LocalDigraph, PairDegrees}
+import scala.collection.mutable
 import scala.util.Random
 
-/** The Spark DataFrame peeling vs the reference peeler, plus DuckDB checks. */
+/** The Spark DataFrame peeling vs the reference peeler, plus DuckDB checks,
+  * and the engines' known cores: the start rule, the 8·m budget and the
+  * order in which cores are dropped.
+  */
 class XYCoreSparkSpec extends SparkSpec {
   import spark.implicits._
 
@@ -38,7 +42,7 @@ class XYCoreSparkSpec extends SparkSpec {
     * engine is built when it runs: two engines of one frame share its cache,
     * so a release by one would uncache the frame the other still reads.
     */
-  private def using[A](e: CoreEngine)(f: CoreEngine => A): A =
+  private def using[E <: CoreEngine, A](e: E)(f: E => A): A =
     try f(e) finally e match { case s: SparkCoreEngine => s.release(); case _ => }
 
   private def peelBoth(pairs: Seq[(Long, Long)], x: Int, y: Int): (Candidate, Candidate) = {
@@ -468,12 +472,20 @@ class XYCoreSparkSpec extends SparkSpec {
     val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = g.m - 1L)
     try {
       val c11 = engine.core(1, 1)
-      // nine cores none of which lies below another: the first eight fill the kept list
+      // nine cores none of which lies below another
       val last = (9 to 1 by -1).map(x => engine.core(x, 10 - x, c11)).last
       assert(last.nonEmpty && last.map(_.m) === local.core(1, 9).map(_.m))
-      // eight more non-empty calls, none below [1,10], push the ninth out of
-      // the engine's latest returns too
-      for (_ <- 1 to 8) assert(engine.core(9, 1).nonEmpty)
+      // cores at x ≥ 2 and y ≤ 8, none below [1,10] and none starting from
+      // the ninth, until the digraphs returned after it hold more than 8·m:
+      // the known cores, which hold at most 8·m, have dropped the ninth
+      val after = mutable.Set.empty[LocalDigraph] // by reference: a digraph has no equals
+      val calls = for (x <- Iterator.from(2); y <- 1 to 8) yield (x, y)
+      while (after.iterator.map(_.m.toLong).sum <= 8 * engine.m) {
+        val (x, y) = calls.next()
+        assert(x <= 40, s"the cores up to [40,8] held no more than 8·m")
+        engine.core(x, y).foreach(h => after += h.sub())
+      }
+      assert(engine.held <= 8 * engine.m)
       // no core the engine knows lies below [1,10]: the handle's own edges serve it
       var h: Option[CoreHandle] = None
       assert(jobShapes { h = engine.core(1, 10, last) } === Seq())
@@ -507,6 +519,94 @@ class XYCoreSparkSpec extends SparkSpec {
       var again: Option[CoreHandle] = None
       assert(jobShapes { again = e.core(2, 2) } === Seq())
       assert(again.map(_.m) === Some(LocalXYCore.peel(g, 2, 2).m.toLong))
+    }
+  }
+
+  /** A core's sides and edge count, for comparing answers across engines. */
+  private def shape(c: Candidate): (Seq[Long], Seq[Long], Long) = (c.s.toSeq, c.t.toSeq, c.m)
+
+  for ((name, pairs) <- Seq("random" -> TestGraphs.randomPairs(40, 400, seed = 61),
+                            "skewed" -> TestGraphs.skewedPairs(200, 600, seed = 62))) {
+    test(s"random call sequences answer as a cold peel and hold at most 8·m, past evictions ($name graph)") {
+      val g = LocalDigraph.fromPairs(pairs)
+      val m = g.m.toLong
+      val cold = mutable.Map.empty[(Int, Int), Option[(Seq[Long], Seq[Long], Long)]]
+      def want(x: Int, y: Int) =
+        cold.getOrElseUpdate((x, y), Option(LocalXYCore.peel(g, x, y)).filter(_.nonEmpty).map(c => shape(Candidate.of(c))))
+      // the largest x with a non-empty [x,1]-core, and for each x the largest y with a non-empty [x,y]-core
+      val xMax = Iterator.from(1).takeWhile(want(_, 1).nonEmpty).size
+      val yMax = (0 to xMax).map(x => if (x == 0) 0 else Iterator.from(1).takeWhile(want(x, _).nonEmpty).size)
+      val engines: Seq[(String, () => PairEngine)] = Seq(
+        "local" -> (() => new LocalCoreEngine(g)),
+        "spark, cutoff 0" -> (() => new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = 0L)),
+        "spark, cutoff m/4" -> (() => new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = m / 4)))
+      for ((ename, mk) <- engines) using(mk()) { e =>
+        val rnd = new Random(63)
+        var i = 0
+        var evictions = 0
+        // until two calls have dropped cores; at cutoff 0 every core stays in
+        // Spark and holds only its ids, so that takes some 200 calls
+        while (evictions < 2) {
+          i += 1
+          assert(i <= 320, s"$ename: $evictions calls dropped a core in 320")
+          // mostly non-empty cores, and the empty one just above each x's last
+          val x = 1 + rnd.nextInt(xMax)
+          val y = 1 + rnd.nextInt(yMax(x) + 1)
+          val before = e.held
+          val got = e.core(x, y)
+          assert(got.map(h => shape(h.candidate())) === want(x, y), s"$ename call $i [$x,$y]")
+          assert(e.held <= 8 * m, s"$ename call $i [$x,$y] held ${e.held}")
+          // only a dropped core makes the held size fall
+          if (e.held < before) evictions += 1
+        }
+      }
+    }
+  }
+
+  test("a known core that served as a start outlives a later one that never did") {
+    // a dense random part, sources of out-degree 1 to 12 into it, and
+    // destinations of in-degree 1: the [x,1]-cores for x = 3 to 12 each
+    // drop one more of those sources, so they are distinct and each holds
+    // nearly every edge
+    val pairs = TestGraphs.randomPairs(40, 600, seed = 50) ++
+      (1 to 12).flatMap(k => (1 to k).map(v => (100L + k, v.toLong))) ++
+      (1 to 10).map(i => (1L, 200L + i))
+    val g = LocalDigraph.fromPairs(pairs)
+    val m = g.m.toLong
+    val local = new LocalCoreEngine(g)
+    def cold(x: Int, y: Int) = local.core(x, y).map(h => shape(h.candidate()))
+    // every core below the whole graph is finished on the driver: only a
+    // call that starts from the whole graph runs a job
+    using(new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = m - 1)) { e =>
+      assert(e.core(2, 2).nonEmpty) // a, from the whole graph
+      val b = e.core(1, 4).get      // nothing known lies below [1,4]
+      // a is the one known core below [3,2]: it moves behind b
+      assert(e.core(3, 2).nonEmpty)
+      // [x,1]-cores, each peeled from the one before: none lies below
+      // [2,3] or [1,4], and none starts from a or b
+      var x = 3
+      var prev = m
+      var evicted = false
+      while (!evicted) {
+        assert(x <= 12, s"the [x,1]-cores up to [12,1] held no more than 8·m = ${8 * m}")
+        val before = e.held
+        val f = e.core(x, 1).get
+        // each drops one more source, so it joins as a new core
+        assert(f.m < prev, s"[$x,1]")
+        prev = f.m
+        evicted = e.held < before + f.m
+        // the front of the list was b, the core that never served as a start
+        if (evicted) assert(e.held === before + f.m - b.m, s"[$x,1] dropped more than b")
+        x += 1
+      }
+      // a is the one known core below [2,3], and holds its answer on the driver
+      var c: Option[CoreHandle] = None
+      assert(jobShapes { c = e.core(2, 3) } === Seq())
+      assert(c.map(h => shape(h.candidate())) === cold(2, 3))
+      // b is gone: [1,4] starts from the whole graph again
+      var again: Option[CoreHandle] = None
+      assert(jobShapes { again = e.core(1, 4) }.nonEmpty)
+      assert(again.map(h => shape(h.candidate())) === cold(1, 4))
     }
   }
 
