@@ -15,7 +15,9 @@ trait CoreHandle {
   def m: Long
   def density: Double = DigraphOps.density(m, sSize, tSize)
 
-  /** The core's edges on the driver (used to build flow networks). */
+  /** The core's edges on the driver (used to build flow networks). For a
+    * core still in Spark, each call runs one collect job.
+    */
   def sub(): LocalDigraph
 
   /** The core as an answer candidate (ids + exact edge count). */
@@ -42,10 +44,9 @@ trait CoreEngine {
 
   /** The [x,y]-core, None if empty. The engine picks the known core the
     * call starts from, among the cores it returned and still holds (up to
-    * a budget of 8·m, least recently used dropped first); ``warm`` (warm.x
-    * ≤ x and warm.y ≤ y, checked) is for a core the engine may have
-    * dropped, and counts only if this engine returned it: any other handle
-    * is ignored.
+    * a budget of 8·m, least recently used dropped first). ``warm`` must lie
+    * below (x,y) (warm.x ≤ x and warm.y ≤ y, checked) and is never a
+    * start: the engine already knows every core worth starting from.
     */
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle]
 }
@@ -57,14 +58,14 @@ trait CoreEngine {
   * ``localCutoff`` is [[XYCore.peel]]'s.
   *
   * A call at (x,y) peels, with [[XYCore.peel]], the smallest, by m, of the
-  * caller's warm handle (if this engine returned it) and the known cores
-  * below (x,y), each of which contains the [x,y]-core (nestedness); failing
-  * those, the whole graph. The known cores are one list, least recently
-  * used first: the core a call starts from moves to the back, and the core
-  * it returns joins behind it. Once the cores hold more than 8·m (see
-  * [[held]]), the list drops cores from the front. Use order, not return
-  * order: a Dinkelbach step's core mostly lies inside a core the max-x·y
-  * seed made many calls earlier, which serves step after step as a start.
+  * known cores below (x,y), each of which contains the [x,y]-core
+  * (nestedness); failing those, the whole graph. The known cores are one
+  * list, least recently used first: the core a call starts from moves to
+  * the back, and the core it returns joins behind it if the peel removed
+  * an edge. Once the cores hold more than 8·m (see [[held]]), the list
+  * drops cores from the front. Use order, not return order: a Dinkelbach
+  * step's core mostly lies inside a core the max-x·y seed made many calls
+  * earlier, which serves step after step as a start.
   */
 sealed abstract class PairEngine(localCutoff: Long) extends CoreEngine {
 
@@ -84,40 +85,29 @@ sealed abstract class PairEngine(localCutoff: Long) extends CoreEngine {
   private val known = mutable.ArrayBuffer.empty[PairCore]
   private var heldSize = 0L
 
-  /** What the known cores hold, as a running sum: a driver digraph counts
-    * its edges and Spark-side degrees their |S|+|T| ids, once per digraph
-    * or degrees object however many known cores share it (by ``eq``).
+  /** What the known cores hold: a driver digraph counts its edges and
+    * Spark-side degrees their |S|+|T| ids. Each known core came from a peel
+    * that removed an edge, which returns a new digraph or degrees object,
+    * so no two of them share one.
     */
   private[core] def held: Long = heldSize
 
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
     warm.foreach(w => require(w.x <= x && w.y <= y, s"invalid warm start [${w.x},${w.y}] for [$x,$y]"))
-    val own = warm.collect { case h: PairCore if h.owner eq this => h }
-    // on a tie a known core goes first, so a warm handle as large as it does not join too
-    val start = (known.iterator ++ own).filter(h => h.x <= x && h.y <= y).minByOption(_.m)
-    start.foreach(remember)
+    val start = known.filter(h => h.x <= x && h.y <= y).minByOption(_.m)
+    start.foreach { h => known -= h; known += h }
     val peeled = XYCore.peel(base, x, y, start.fold(whole)(_.pair), localCutoff)
     if (peeled.fold(_.m == 0, _.isEmpty)) return None
     val h = new PairCore(x, y, peeled, this)
-    // a peel that removed no edge returns its start's core, which the
-    // start, below (x,y) and now at the back, already stands for
-    if (!start.exists(_.m == h.m)) remember(h)
-    Some(h)
-  }
-
-  /** Moves ``h`` to the back of the known cores (it joins them if it is not
-    * known), then drops cores from the front while they hold more than
-    * 8·m. A core holds at most 2·m, so ``h`` stays.
-    */
-  private def remember(h: PairCore): Unit = {
-    def shared(c: PairCore) = known.exists(_.body eq c.body)
-    val i = known.indexOf(h)
-    if (i >= 0) known.remove(i) else if (!shared(h)) heldSize += h.size
-    known += h
-    while (heldSize > PairEngine.HeldPerEdge * m) {
-      val dropped = known.remove(0)
-      if (!shared(dropped)) heldSize -= dropped.size
+    // a peel that removed no edge returned its start's core, which the start
+    // (or the whole graph) already stands for; a core holds at most 2·m, so
+    // ``h`` outlives the drops
+    if (h.m < start.fold(m)(_.m)) {
+      known += h
+      heldSize += h.size
+      while (heldSize > PairEngine.HeldPerEdge * m) heldSize -= known.remove(0).size
     }
+    Some(h)
   }
 }
 
@@ -141,9 +131,6 @@ final class PairCore private[core] (val x: Int, val y: Int, val pair: PairState,
   def m: Long     = pair.fold(_.m, _.m.toLong)
   def sub(): LocalDigraph = pair.fold(d => LocalDigraph.fromEdges(owner.base, d.s, d.t), identity)
   def candidate(): Candidate = pair.fold(d => Candidate(d.s, d.t, d.m), Candidate.of)
-
-  /** The digraph or the degrees this core holds, for identity checks. */
-  private[core] def body: AnyRef = pair.fold(identity, identity)
 
   /** What this core holds: its edges on the driver, its |S|+|T| ids in Spark. */
   private[core] def size: Long = pair.fold(d => d.s.length.toLong + d.t.length, _.m.toLong)

@@ -462,38 +462,6 @@ class XYCoreSparkSpec extends SparkSpec {
     base.unpersist()
   }
 
-  test("a warm start from a driver core the full cache left out runs no job") {
-    // a dense random part, plus leaves of out- and in-degree 1 that every core above [1,1] drops
-    val pairs = TestGraphs.randomPairs(40, 600, seed = 50) ++
-      (101L to 110L).flatMap(v => Seq((v, 1L), (2L, v)))
-    val g = LocalDigraph.fromPairs(pairs)
-    val local = new LocalCoreEngine(g)
-    // every core below the whole graph is finished on the driver
-    val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = g.m - 1L)
-    try {
-      val c11 = engine.core(1, 1)
-      // nine cores none of which lies below another
-      val last = (9 to 1 by -1).map(x => engine.core(x, 10 - x, c11)).last
-      assert(last.nonEmpty && last.map(_.m) === local.core(1, 9).map(_.m))
-      // cores at x ≥ 2 and y ≤ 8, none below [1,10] and none starting from
-      // the ninth, until the digraphs returned after it hold more than 8·m:
-      // the known cores, which hold at most 8·m, have dropped the ninth
-      val after = mutable.Set.empty[LocalDigraph] // by reference: a digraph has no equals
-      val calls = for (x <- Iterator.from(2); y <- 1 to 8) yield (x, y)
-      while (after.iterator.map(_.m.toLong).sum <= 8 * engine.m) {
-        val (x, y) = calls.next()
-        assert(x <= 40, s"the cores up to [40,8] held no more than 8·m")
-        engine.core(x, y).foreach(h => after += h.sub())
-      }
-      assert(engine.held <= 8 * engine.m)
-      // no core the engine knows lies below [1,10]: the handle's own edges serve it
-      var h: Option[CoreHandle] = None
-      assert(jobShapes { h = engine.core(1, 10, last) } === Seq())
-      assert(h.nonEmpty)
-      assert(h.map(c => (c.sSize, c.tSize, c.m)) === local.core(1, 10).map(c => (c.sSize, c.tSize, c.m)))
-    } finally engine.release()
-  }
-
   test("a call at a core the engine returned starts from that core") {
     val pairs = TestGraphs.skewedPairs(60, 300, seed = 44)
     val g = LocalDigraph.fromPairs(pairs)
@@ -525,7 +493,7 @@ class XYCoreSparkSpec extends SparkSpec {
   /** A core's sides and edge count, for comparing answers across engines. */
   private def shape(c: Candidate): (Seq[Long], Seq[Long], Long) = (c.s.toSeq, c.t.toSeq, c.m)
 
-  for ((name, pairs) <- Seq("random" -> TestGraphs.randomPairs(40, 400, seed = 61),
+  for ((name, pairs) <- Seq("random" -> TestGraphs.randomPairs(60, 600, seed = 61),
                             "skewed" -> TestGraphs.skewedPairs(200, 600, seed = 62))) {
     test(s"random call sequences answer as a cold peel and hold at most 8·m, past evictions ($name graph)") {
       val g = LocalDigraph.fromPairs(pairs)
@@ -559,6 +527,79 @@ class XYCoreSparkSpec extends SparkSpec {
           // only a dropped core makes the held size fall
           if (e.held < before) evictions += 1
         }
+      }
+    }
+  }
+
+  test("a warm handle moves no start: answers, held sizes and jobs are those of calls without one") {
+    // a small random part, and sources of out-degree 1 to 24, each into as
+    // many destinations of its own: the [x,1]-cores differ for every x and
+    // the ones at small x hold most of the graph, edges and ids alike, so
+    // the known cores soon pass 8·m and drop some
+    val pairs = TestGraphs.randomPairs(12, 40, seed = 64) ++
+      (1 to 24).flatMap(k => (1 to k).map(j => (100L + k, 1000L + 100L * k + j)))
+    val g = LocalDigraph.fromPairs(pairs)
+    val m = g.m.toLong
+    def cold(x: Int, y: Int) = Option(LocalXYCore.peel(g, x, y)).filter(_.nonEmpty).map(c => shape(Candidate.of(c)))
+    val xMax = Iterator.from(1).takeWhile(cold(_, 1).nonEmpty).size
+    val yMax = (0 to xMax).map(x => if (x == 0) 0 else Iterator.from(1).takeWhile(cold(x, _).nonEmpty).size)
+    // another graph's cores, on other ids: its [1,1]-core is a valid handle at every call
+    val foreign = new LocalCoreEngine(LocalDigraph.fromPairs(pairs.map { case (u, v) => (u + 100000L, v + 100000L) }))
+    val foreignCores = Seq((1, 1), (2, 2), (3, 1)).flatMap { case (x, y) => foreign.core(x, y) }
+    val kinds: Seq[(String, () => PairEngine)] = Seq(
+      "local" -> (() => new LocalCoreEngine(g)),
+      "spark, whole graph on the driver" -> (() => new SparkCoreEngine(TestGraphs.df(spark, pairs))),
+      "spark, cutoff 0" -> (() => new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = 0L)),
+      "spark, cutoff m/4" -> (() => new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = m / 4)))
+    // two engines of one frame share its cache: both are released after the last call
+    for ((name, mk) <- kinds) using(mk()) { plain => using(mk()) { warmed =>
+      plain.n; warmed.n // set-up jobs, before the per-call counts
+      val rnd = new Random(65)
+      // every handle either engine returned, dropped or not, and the other graph's
+      val handles = mutable.ArrayBuffer.empty[CoreHandle] ++= foreignCores
+      var evictions = 0
+      for (i <- 1 to 80) {
+        // x leans small, where the large cores are: the first drop comes
+        // some 45 calls in
+        val x = 1 + rnd.nextInt(1 + rnd.nextInt(xMax))
+        val y = 1 + rnd.nextInt(yMax(x) + 1)
+        val valid = handles.filter(h => h.x <= x && h.y <= y)
+        val warm = valid(rnd.nextInt(valid.size))
+        val before = plain.held
+        var p, w: Option[CoreHandle] = None
+        val plainJobs = jobShapes { p = plain.core(x, y) }
+        val warmJobs = jobShapes { w = warmed.core(x, y, Some(warm)) }
+        val what = s"$name call $i [$x,$y], handle [${warm.x},${warm.y}]"
+        assert(p.map(h => shape(h.candidate())) === cold(x, y), what)
+        assert(w.map(h => shape(h.candidate())) === cold(x, y), what)
+        assert(warmed.held === plain.held, what)
+        assert(warmJobs === plainJobs, what)
+        if (plain.held < before) evictions += 1
+        handles ++= p ++= w
+      }
+      // so some handles passed had been dropped
+      assert(evictions >= 2, name)
+    } }
+  }
+
+  test("a peel that removes no edge adds nothing to the known cores") {
+    // complete digraphs on 5 and on 7 vertices: every [x,y]-core with x, y
+    // ≤ 4 is the whole graph, and every one with 5 ≤ x, y ≤ 6 the second
+    def complete(ids: Seq[Long]) = for (u <- ids; v <- ids if u != v) yield (u, v)
+    val pairs = complete(1L to 5L) ++ complete(11L to 17L)
+    val engines: Seq[(String, () => PairEngine)] = Seq(
+      "local" -> (() => new LocalCoreEngine(LocalDigraph.fromPairs(pairs))),
+      "spark, cutoff 0" -> (() => new SparkCoreEngine(TestGraphs.df(spark, pairs), localCutoff = 0L)))
+    for ((name, mk) <- engines) using(mk()) { e =>
+      // the one peel here that removes edges
+      assert(e.core(5, 5).map(_.m) === Some(42L), name)
+      val held = e.held
+      assert(held > 0, name)
+      // incomparable calls whose core is the whole graph, then calls whose
+      // core is the known [5,5]-core, at its own (x,y) and above it
+      for ((x, y) <- Seq((4, 1), (3, 2), (2, 3), (1, 4), (5, 5), (6, 5), (6, 6))) {
+        assert(e.core(x, y).map(_.m) === Some(if (x <= 4) 62L else 42L), s"$name [$x,$y]")
+        assert(e.held === held, s"$name [$x,$y]")
       }
     }
   }
